@@ -56,15 +56,9 @@ class OlsqStyleRouter(Router):
                           for step, slot in encoding.swap_slots]
 
         sat = create_solver()
-        sat.ensure_vars(encoding.builder.num_vars)
-        for clause in encoding.builder.hard:
-            sat.add_clause(clause)
-        loaded_hard = len(encoding.builder.hard)
-
+        loaded_hard = encoding.builder.stream_hard(sat)
         totalizer = Totalizer(encoding.builder, swap_indicator)
-        sat.ensure_vars(encoding.builder.num_vars)
-        for clause in encoding.builder.hard[loaded_hard:]:
-            sat.add_clause(clause)
+        encoding.builder.stream_hard(sat, loaded_hard)
 
         max_bound = self.max_bound
         if max_bound is None:

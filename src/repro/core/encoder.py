@@ -21,17 +21,30 @@ The clause count is O(|Phys| x |Logic| x |C|): at-most-one constraints use a
 commander encoding beyond a small threshold, and the SWAP-effect constraints
 are expressed as forward propagation clauses rather than enumerating SWAP
 sequences, matching the size the paper reports for its "only-one" encoding.
+
+Clauses are emitted in bulk.  Each constraint family (injectivity AMO per
+step, totality, gate adjacency, each SWAP slot, the initial pin, cyclic
+closure, noise-aware gate costs) is written into one zero-terminated int32
+buffer and handed to :meth:`WcnfBuilder.add_flat
+<repro.maxsat.wcnf.WcnfBuilder.add_flat>`, which validates it once and, with
+a live session attached, streams it through
+:meth:`ClauseSink.add_flat <repro.sat.session.ClauseSink.add_flat>` into the
+solve core in a single call.  Map-variable rows are looked up once per
+(logical qubit, step) via :meth:`VariableRegistry.map_row
+<repro.core.variables.VariableRegistry.map_row>`.  The clauses, their order
+and the variable numbering are exactly those of clause-at-a-time emission.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.variables import NOOP, VariableRegistry
 from repro.hardware.architecture import Architecture
 from repro.hardware.noise import NoiseModel
-from repro.maxsat.cardinality import at_most_one_commander, at_most_one_pairwise
+from repro.maxsat.cardinality import commander_amo_clauses, pairwise_amo_clauses
 from repro.maxsat.wcnf import WcnfBuilder
 
 
@@ -158,9 +171,10 @@ class QmrEncoder:
         """Encode ``circuit`` (its two-qubit interaction sequence) as MaxSAT.
 
         With a ``sink`` (a :class:`~repro.sat.session.ClauseSink`, typically a
-        live :class:`~repro.sat.session.SatSession`), every hard clause is
-        streamed into it the moment it is produced, so by the time this
-        method returns the attached solver already holds the formula.
+        live :class:`~repro.sat.session.SatSession`), each constraint family
+        is streamed into it as one flat buffer the moment it is complete, so
+        by the time this method returns the attached solver already holds
+        the formula.
 
         Interaction extraction reads the circuit IR's two-qubit columns
         directly (O(#interactions), no gate-list rescans), so slice views
@@ -205,12 +219,11 @@ class QmrEncoder:
         # step 0 itself is the initial map.
         root_step = -1 if options.leading_swap_slot else 0
         if root_step == -1:
-            self._encode_injectivity_at_index(encoding, -1)
+            self._encode_injectivity(encoding, -1)
         for step in range(len(steps)):
             self._encode_injectivity(encoding, step)
         self._encode_totality(encoding, step=root_step)
-        for step, (first, second) in enumerate(steps):
-            self._encode_gate_adjacency(encoding, step, first, second)
+        self._encode_gate_adjacency(encoding)
         self._encode_swap_slots(encoding)
         self._encode_initial_mapping(encoding, root_step)
         if options.cyclic:
@@ -236,37 +249,40 @@ class QmrEncoder:
         return steps, step_of_gate
 
     # ------------------------------------------------------------ components
+    #
+    # Each component writes its clauses into a flat list (literals, then a 0
+    # per clause) and hands it to the builder in one ``add_flat`` call, in
+    # the same order the clauses were always produced, so clause order and
+    # variable numbering do not depend on the batching.
 
     def _encode_single_free_map(self, encoding: QmrEncoding) -> None:
         """Degenerate case: only constrain one injective, total map at step 0."""
         encoding.steps = []
-        builder = encoding.builder
-        registry = encoding.registry
-        architecture = encoding.architecture
-        for logical in range(encoding.num_logical):
-            placements = [registry.map_var(logical, physical, 0)
-                          for physical in range(architecture.num_qubits)]
-            builder.add_hard(placements)
-            self._at_most_one(builder, placements)
-        for physical in range(architecture.num_qubits):
-            occupants = [registry.map_var(logical, physical, 0)
-                         for logical in range(encoding.num_logical)]
-            self._at_most_one(builder, occupants)
+        self._encode_injectivity(encoding, 0, total=True)
         self._encode_initial_mapping(encoding)
 
-    def _encode_injectivity(self, encoding: QmrEncoding, step: int) -> None:
-        """Hard A: at every step each map is an injective partial function."""
-        builder = encoding.builder
+    def _encode_injectivity(self, encoding: QmrEncoding, step: int,
+                            total: bool = False) -> None:
+        """Hard A: at ``step`` the map is an injective partial function.
+
+        Also used for the virtual pre-circuit step -1 and the pseudo-steps
+        between chained SWAP slots.  ``total`` puts each logical qubit's
+        at-least-one placement clause ahead of its at-most-one.
+        """
         registry = encoding.registry
-        architecture = encoding.architecture
+        num_physical = encoding.architecture.num_qubits
+        out: list[int] = []
+        rows = []
         for logical in range(encoding.num_logical):
-            placements = [registry.map_var(logical, physical, step)
-                          for physical in range(architecture.num_qubits)]
-            self._at_most_one(builder, placements)
-        for physical in range(architecture.num_qubits):
-            occupants = [registry.map_var(logical, physical, step)
-                         for logical in range(encoding.num_logical)]
-            self._at_most_one(builder, occupants)
+            row = registry.map_row(logical, step, num_physical)
+            rows.append(row)
+            if total:
+                out += row
+                out.append(0)
+            self._at_most_one(encoding, out, row)
+        for physical in range(num_physical):
+            self._at_most_one(encoding, out, [row[physical] for row in rows])
+        _emit(encoding.builder, out)
 
     def _encode_totality(self, encoding: QmrEncoding, step: int) -> None:
         """Every logical qubit is placed somewhere at ``step``.
@@ -275,25 +291,30 @@ class QmrEncoder:
         sequence total, so extraction never has to invent placements for
         qubits that participate in gates.
         """
-        builder = encoding.builder
-        registry = encoding.registry
+        num_physical = encoding.architecture.num_qubits
+        out: list[int] = []
         for logical in range(encoding.num_logical):
-            builder.add_hard([registry.map_var(logical, physical, step)
-                              for physical in range(encoding.architecture.num_qubits)])
+            out += encoding.registry.map_row(logical, step, num_physical)
+            out.append(0)
+        _emit(encoding.builder, out)
 
-    def _encode_gate_adjacency(self, encoding: QmrEncoding, step: int,
-                               first: int, second: int) -> None:
-        """Hard B: the gate's qubits sit on adjacent physical qubits at its step."""
-        builder = encoding.builder
+    def _encode_gate_adjacency(self, encoding: QmrEncoding) -> None:
+        """Hard B: each gate's qubits sit on adjacent physical qubits at its step."""
         registry = encoding.registry
         architecture = encoding.architecture
-        for logical, other in ((first, second), (second, first)):
-            for physical in range(architecture.num_qubits):
-                neighbors = architecture.neighbors_sorted(physical)
-                clause = [-registry.map_var(logical, physical, step)]
-                clause.extend(registry.map_var(other, neighbor, step)
-                              for neighbor in neighbors)
-                builder.add_hard(clause)
+        num_physical = architecture.num_qubits
+        neighbors = [architecture.neighbors_sorted(physical)
+                     for physical in range(num_physical)]
+        out: list[int] = []
+        for step, (first, second) in enumerate(encoding.steps):
+            for logical, other in ((first, second), (second, first)):
+                own = registry.map_row(logical, step, num_physical)
+                partner = registry.map_row(other, step, num_physical)
+                for physical in range(num_physical):
+                    out.append(-own[physical])
+                    out += [partner[neighbor] for neighbor in neighbors[physical]]
+                    out.append(0)
+        _emit(encoding.builder, out)
 
     def _encode_swap_slots(self, encoding: QmrEncoding) -> None:
         """Hard C and Hard D for every SWAP slot between consecutive steps."""
@@ -319,78 +340,55 @@ class QmrEncoder:
     def _encode_one_transition(self, encoding: QmrEncoding, previous_step: int,
                                current_step: int, num_slots: int) -> None:
         """Slots between ``previous_step`` and ``current_step`` (chained if > 1)."""
-        architecture = encoding.architecture
-        options = encoding.options
         # Intermediate maps are represented as fractional pseudo-steps encoded
         # with dedicated step indices only when n > 1; for n == 1 the slot
         # connects the two real steps directly.
         for slot in range(num_slots):
             is_last_slot = slot == num_slots - 1
-            source = previous_step if slot == 0 else self._pseudo_step(encoding, current_step, slot - 1)
-            target = current_step if is_last_slot else self._pseudo_step(encoding, current_step, slot)
+            source = previous_step if slot == 0 else _pseudo_step(current_step, slot - 1)
+            target = current_step if is_last_slot else _pseudo_step(current_step, slot)
             if not is_last_slot:
-                self._encode_injectivity_pseudo(encoding, target)
+                self._encode_injectivity(encoding, target)
             self._encode_slot(encoding, source, target, current_step, slot)
-
-    def _pseudo_step(self, encoding: QmrEncoding, step: int, slot: int) -> int:
-        """Step index used for intermediate maps when ``swaps_per_gate > 1``."""
-        return (step + 1) * 10_000 + slot
-
-    def _encode_injectivity_pseudo(self, encoding: QmrEncoding, step: int) -> None:
-        self._encode_injectivity_at_index(encoding, step)
-
-    def _encode_injectivity_at_index(self, encoding: QmrEncoding, step: int) -> None:
-        builder = encoding.builder
-        registry = encoding.registry
-        architecture = encoding.architecture
-        for logical in range(encoding.num_logical):
-            placements = [registry.map_var(logical, physical, step)
-                          for physical in range(architecture.num_qubits)]
-            self._at_most_one(builder, placements)
-        for physical in range(architecture.num_qubits):
-            occupants = [registry.map_var(logical, physical, step)
-                         for logical in range(encoding.num_logical)]
-            self._at_most_one(builder, occupants)
 
     def _encode_slot(self, encoding: QmrEncoding, source_step: int,
                      target_step: int, real_step: int, slot: int) -> None:
         """One SWAP slot: Hard C (exactly one choice) + Hard D (its effect)."""
-        builder = encoding.builder
         registry = encoding.registry
         architecture = encoding.architecture
-        edges = list(architecture.edges)
+        num_physical = architecture.num_qubits
+        edges = architecture.edges
 
         noop_var = registry.swap_var(NOOP, real_step, slot)
         choice_vars = [noop_var] + [registry.swap_var(edge, real_step, slot)
                                     for edge in edges]
         # Hard C: exactly one of {no-op} ∪ Edges is selected.
-        builder.add_hard(list(choice_vars))
-        self._at_most_one(builder, choice_vars)
+        out: list[int] = list(choice_vars)
+        out.append(0)
+        self._at_most_one(encoding, out, choice_vars)
         encoding.swap_slots.append((real_step, slot))
 
-        # Hard D: forward propagation of every logical qubit's position.
-        incident: dict[int, list[tuple[int, int]]] = {
-            physical: [] for physical in range(architecture.num_qubits)
-        }
-        for edge in edges:
-            incident[edge[0]].append(edge)
-            incident[edge[1]].append(edge)
-
+        # Hard D: forward propagation of every logical qubit's position.  A
+        # qubit on ``physical`` stays unless an incident edge swaps, and
+        # moves to the edge's other end when that edge swaps.
+        stays: list[list[int]] = [[] for _ in range(num_physical)]
+        moves: list[list[tuple[int, int]]] = [[] for _ in range(num_physical)]
+        for swap, (first, second) in zip(choice_vars[1:], edges):
+            stays[first].append(swap)
+            stays[second].append(swap)
+            moves[first].append((-swap, second))
+            moves[second].append((-swap, first))
         for logical in range(encoding.num_logical):
-            for physical in range(architecture.num_qubits):
-                source_var = registry.map_var(logical, physical, source_step)
-                stay_clause = [-source_var]
-                for edge in incident[physical]:
-                    stay_clause.append(registry.swap_var(edge, real_step, slot))
-                stay_clause.append(registry.map_var(logical, physical, target_step))
-                builder.add_hard(stay_clause)
-                for edge in incident[physical]:
-                    other = edge[1] if edge[0] == physical else edge[0]
-                    builder.add_hard([
-                        -source_var,
-                        -registry.swap_var(edge, real_step, slot),
-                        registry.map_var(logical, other, target_step),
-                    ])
+            source = registry.map_row(logical, source_step, num_physical)
+            target = registry.map_row(logical, target_step, num_physical)
+            for physical in range(num_physical):
+                negated = -source[physical]
+                out.append(negated)
+                out += stays[physical]
+                out += (target[physical], 0)
+                for not_swapped, other in moves[physical]:
+                    out += (negated, not_swapped, target[other], 0)
+        _emit(encoding.builder, out)
 
     def _encode_initial_mapping(self, encoding: QmrEncoding, root_step: int = 0) -> None:
         """Pin the initial map to a given mapping (used by the local relaxation).
@@ -406,24 +404,25 @@ class QmrEncoder:
         fixed = encoding.options.fixed_initial_mapping
         if not fixed or encoding.options.pin_initial_via_assumptions:
             return
-        builder = encoding.builder
         registry = encoding.registry
+        out: list[int] = []
         for logical, physical in fixed.items():
-            if logical >= encoding.num_logical:
-                continue
-            builder.add_hard([registry.map_var(logical, physical, root_step)])
+            if logical < encoding.num_logical:
+                out += (registry.map_var(logical, physical, root_step), 0)
+        _emit(encoding.builder, out)
 
     def _encode_cyclic_closure(self, encoding: QmrEncoding) -> None:
         """Section VI: the final map equals the initial map, qubit by qubit."""
-        builder = encoding.builder
         registry = encoding.registry
+        num_physical = encoding.architecture.num_qubits
         final_step = len(encoding.steps)
+        out: list[int] = []
         for logical in range(encoding.num_logical):
-            for physical in range(encoding.architecture.num_qubits):
-                initial = registry.map_var(logical, physical, 0)
-                final = registry.map_var(logical, physical, final_step)
-                builder.add_hard([-initial, final])
-                builder.add_hard([initial, -final])
+            initial_row = registry.map_row(logical, 0, num_physical)
+            final_row = registry.map_row(logical, final_step, num_physical)
+            for initial, final in zip(initial_row, final_row):
+                out += (-initial, final, 0, initial, -final, 0)
+        _emit(encoding.builder, out)
 
     def _encode_soft(self, encoding: QmrEncoding) -> None:
         """Soft constraints: prefer no-ops (unweighted) or high fidelity (weighted)."""
@@ -452,30 +451,42 @@ class QmrEncoder:
         registry = encoding.registry
         noise = encoding.options.noise_model
         architecture = encoding.architecture
+        num_physical = architecture.num_qubits
+        out: list[int] = []
         for step, (first, second) in enumerate(encoding.steps):
+            first_row = registry.map_row(first, step, num_physical)
+            second_row = registry.map_row(second, step, num_physical)
             for edge in architecture.edges:
                 physical_a, physical_b = edge
                 executed = builder.new_var()
-                for qubit_one, qubit_two in ((first, second), (second, first)):
-                    builder.add_hard([
-                        -registry.map_var(qubit_one, physical_a, step),
-                        -registry.map_var(qubit_two, physical_b, step),
-                        executed,
-                    ])
+                out += (-first_row[physical_a], -second_row[physical_b], executed, 0,
+                        -second_row[physical_a], -first_row[physical_b], executed, 0)
                 error = noise.edge_error(*edge)
                 weight = max(1, round(-noise.weight_scale *
                                       _log_one_minus(error)))
                 builder.add_soft([-executed], weight=weight)
+        _emit(builder, out)
 
     # -------------------------------------------------------------- helpers
 
-    def _at_most_one(self, builder: WcnfBuilder, literals: list[int]) -> None:
+    def _at_most_one(self, encoding: QmrEncoding, out: list[int],
+                     literals: list[int]) -> None:
         if len(literals) <= 1:
             return
         if len(literals) < self.options.commander_threshold:
-            at_most_one_pairwise(builder, literals)
+            pairwise_amo_clauses(out, literals)
         else:
-            at_most_one_commander(builder, literals)
+            commander_amo_clauses(out, literals, encoding.builder.new_var)
+
+
+def _pseudo_step(step: int, slot: int) -> int:
+    """Step index used for intermediate maps when ``swaps_per_gate > 1``."""
+    return (step + 1) * 10_000 + slot
+
+
+def _emit(builder: WcnfBuilder, out: list[int]) -> None:
+    """Hand one component's flat clause list to the builder in one call."""
+    builder.add_flat(array("i", out))
 
 
 def _log_one_minus(error: float) -> float:

@@ -59,6 +59,9 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
     more SWAP slots (up to the graph diameter, which always suffices to repair
     its first gate), then its per-gate slot count is raised.  Escalation keeps
     the relaxation complete without changing its locally-optimal character.
+
+    The result's ``stage_timings`` add up every attempt, including the ones
+    later undone by backtracking or superseded by an escalation.
     """
     start = time.monotonic()
     diameter = max(1, architecture.diameter())
@@ -71,13 +74,15 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
         from repro.parallel.pipeline import SlicePipeline
 
         pipeline = SlicePipeline(router, architecture)
+    stage_timings: dict[str, float] = {}
     try:
         backtracks = 0
         index = 0
         while index < len(slices):
             remaining = router.time_budget - (time.monotonic() - start)
             if remaining <= 0:
-                return _timeout_result(router, circuit, slices, backtracks)
+                return _timeout_result(router, circuit, slices, backtracks,
+                                       stage_timings)
             state = slices[index]
             if pipeline is not None and index + 1 < len(slices):
                 # Overlap: the successor's encoding streams in a worker while
@@ -115,12 +120,15 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
                 slice_span.set(status=outcome.result.status.value,
                                swaps=outcome.result.swap_count)
             state.context = outcome.context
+            for stage, seconds in outcome.result.stage_timings.items():
+                stage_timings[stage] = stage_timings.get(stage, 0.0) + seconds
             if outcome.result.solved:
                 state.outcome = outcome
                 index += 1
                 continue
             if outcome.result.status is RoutingStatus.TIMEOUT:
-                return _timeout_result(router, circuit, slices, backtracks)
+                return _timeout_result(router, circuit, slices, backtracks,
+                                       stage_timings)
 
             # UNSAT.  Prefer the paper's backtracking; escalate once spent.
             # Backtracking leaves pre-built successor encodings valid (they
@@ -151,10 +159,11 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
             result = outcome.result
             result.backtracks = backtracks
             result.num_slices = len(slices)
+            result.stage_timings = stage_timings
             return result
 
         result = _stitch(router, circuit, architecture, slices, backtracks,
-                         time.monotonic() - start)
+                         time.monotonic() - start, stage_timings)
         if pipeline is not None:
             result.solver_stats = dict(result.solver_stats)
             result.solver_stats["pipeline_prebuilt"] = pipeline.prebuilt_used
@@ -171,8 +180,13 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
 
 def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
             architecture: Architecture, slices: list[SliceState],
-            backtracks: int, elapsed: float) -> RoutingResult:
-    """Concatenate per-slice routed circuits into the full solution."""
+            backtracks: int, elapsed: float,
+            stage_timings: dict[str, float]) -> RoutingResult:
+    """Concatenate per-slice routed circuits into the full solution.
+
+    ``stage_timings`` are the caller's totals over every slice attempt; the
+    other figures describe the slices that made it into the solution.
+    """
     routed = QuantumCircuit(architecture.num_qubits,
                             name=f"{circuit.name}@{architecture.name}")
     total_swaps = 0
@@ -181,7 +195,6 @@ def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
     total_hard = 0
     total_soft = 0
     all_optimal = True
-    stage_timings: dict[str, float] = {}
     clauses_streamed = 0
     learnt_retained = 0
     solver_stats: dict[str, int] = {}
@@ -195,8 +208,6 @@ def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
         total_hard += outcome.result.num_hard_clauses
         total_soft += outcome.result.num_soft_clauses
         all_optimal = all_optimal and outcome.result.optimal
-        for stage, seconds in outcome.result.stage_timings.items():
-            stage_timings[stage] = stage_timings.get(stage, 0.0) + seconds
         clauses_streamed += outcome.result.clauses_streamed
         learnt_retained += outcome.result.learnt_clauses_retained
         for counter, value in outcome.result.solver_stats.items():
@@ -241,8 +252,10 @@ def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
 
 
 def _timeout_result(router: "SatMapRouter", circuit: QuantumCircuit,
-                    slices: list[SliceState], backtracks: int) -> RoutingResult:
+                    slices: list[SliceState], backtracks: int,
+                    stage_timings: dict[str, float]) -> RoutingResult:
     return RoutingResult(
+        stage_timings=stage_timings,
         status=RoutingStatus.TIMEOUT,
         router_name=router.name,
         circuit_name=circuit.name,

@@ -32,6 +32,8 @@ class VariableRegistry:
     swap_vars: dict[tuple[tuple[int, int], int, int], int] = field(default_factory=dict)
     _reverse_map: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     _reverse_swap: dict[int, tuple[tuple[int, int], int, int]] = field(default_factory=dict)
+    #: ``(logical, step) -> [map(logical, p, step) for every p]``, cached.
+    _rows: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
 
     def map_var(self, logical: int, physical: int, step: int) -> int:
         """Variable for ``map(logical, physical, step)``, creating it if needed."""
@@ -41,6 +43,20 @@ class VariableRegistry:
             self.map_vars[key] = variable
             self._reverse_map[variable] = key
         return self.map_vars[key]
+
+    def map_row(self, logical: int, step: int, num_physical: int) -> list[int]:
+        """``map(logical, p, step)`` for ``p`` in ``range(num_physical)``.
+
+        Missing variables are created in ``p`` order, exactly as calling
+        :meth:`map_var` for each ``p`` would; the row is then cached, so hot
+        encoder loops index a list instead of looking up every literal.
+        """
+        row = self._rows.get((logical, step))
+        if row is None:
+            row = [self.map_var(logical, physical, step)
+                   for physical in range(num_physical)]
+            self._rows[(logical, step)] = row
+        return row
 
     def swap_var(self, edge: tuple[int, int], step: int, slot: int = 0) -> int:
         """Variable for ``swap(edge, step, slot)``; ``edge`` may be :data:`NOOP`."""

@@ -13,20 +13,62 @@ on output literals, which is how the linear-search MaxSAT strategy tightens
 its bound between SAT calls.
 
 The paper's "only one swap" constraint (Hard C) also uses a standard
-at-most-one encoding, provided here as :func:`at_most_one_pairwise` and
-:func:`exactly_one`.
+at-most-one encoding, provided here as :func:`at_most_one_pairwise`,
+:func:`at_most_one_commander` and :func:`exactly_one`.  The at-most-one
+encodings are written by :func:`pairwise_amo_clauses` and
+:func:`commander_amo_clauses` into flat clause lists, which is how the QMR
+encoder batches a whole constraint family into one buffer; the
+``builder`` forms wrap them.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from repro.maxsat.wcnf import WcnfBuilder
+
+
+def pairwise_amo_clauses(out: list[int], literals: list[int]) -> list[int]:
+    """Append pairwise at-most-one clauses over ``literals`` to ``out``.
+
+    ``out`` is a flat clause list (each clause followed by a ``0``, the
+    layout of :mod:`repro.sat.flat`); it is returned for chaining.
+    """
+    for index, first in enumerate(literals):
+        negated = -first
+        for second in literals[index + 1:]:
+            out += (negated, -second, 0)
+    return out
+
+
+def commander_amo_clauses(out: list[int], literals: list[int], new_var,
+                          group_size: int = 4) -> list[int]:
+    """Append a commander (hierarchical) at-most-one encoding to ``out``.
+
+    Linear in the number of literals, which matters for the larger "only one"
+    constraints the QMR encoding produces on well-connected architectures.
+    ``new_var`` allocates each group's commander variable.
+    """
+    if len(literals) <= group_size + 1:
+        return pairwise_amo_clauses(out, literals)
+    commanders: list[int] = []
+    for start in range(0, len(literals), group_size):
+        group = literals[start:start + group_size]
+        commander = new_var()
+        commanders.append(commander)
+        pairwise_amo_clauses(out, group)
+        # The commander is true iff some literal in its group is true.
+        for literal in group:
+            out += (-literal, commander, 0)
+        out.append(-commander)
+        out += group
+        out.append(0)
+    return commander_amo_clauses(out, commanders, new_var, group_size)
 
 
 def at_most_one_pairwise(builder: WcnfBuilder, literals: list[int]) -> None:
     """Add pairwise at-most-one hard constraints over ``literals``."""
-    for index, first in enumerate(literals):
-        for second in literals[index + 1:]:
-            builder.add_hard([-first, -second])
+    builder.add_flat(array("i", pairwise_amo_clauses([], literals)))
 
 
 def at_least_one(builder: WcnfBuilder, literals: list[int]) -> None:
@@ -43,25 +85,9 @@ def exactly_one(builder: WcnfBuilder, literals: list[int]) -> None:
 def at_most_one_commander(
     builder: WcnfBuilder, literals: list[int], group_size: int = 4
 ) -> None:
-    """Commander (hierarchical) at-most-one encoding.
-
-    Linear in the number of literals, which matters for the larger "only one"
-    constraints the QMR encoding produces on well-connected architectures.
-    """
-    if len(literals) <= group_size + 1:
-        at_most_one_pairwise(builder, literals)
-        return
-    commanders: list[int] = []
-    for start in range(0, len(literals), group_size):
-        group = literals[start:start + group_size]
-        commander = builder.new_var()
-        commanders.append(commander)
-        at_most_one_pairwise(builder, group)
-        # The commander is true iff some literal in its group is true.
-        for literal in group:
-            builder.add_hard([-literal, commander])
-        builder.add_hard([-commander] + group)
-    at_most_one_commander(builder, commanders, group_size)
+    """Commander at-most-one over ``literals`` (see :func:`commander_amo_clauses`)."""
+    builder.add_flat(array("i", commander_amo_clauses(
+        [], literals, builder.new_var, group_size)))
 
 
 class Totalizer:

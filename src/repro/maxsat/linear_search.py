@@ -277,33 +277,25 @@ class LinearSearchSolver:
             # has already seen are not replayed.
             self.builder.attach_sink(self.session)
             self._sat = self.session.solver
-            self._loaded_hard = len(self.builder.hard)
             return self._sat
         if self._sat is None:
-            sat = create_solver(self.solver_backend)
-            sat.ensure_vars(self.builder.num_vars)
-            for clause in self.builder.hard:
-                sat.add_clause(clause)
-            self._loaded_hard = len(self.builder.hard)
-            self._sat = sat
+            self._sat = create_solver(self.solver_backend)
+            self._loaded_hard = self.builder.stream_hard(self._sat)
         return self._sat
 
     def _sync_hard_clauses(self, sat: SatSolver, builder: WcnfBuilder) -> None:
         """Feed hard clauses added to the builder since the last sync."""
         if self.session is not None:
             builder.sync_sink()
-            self._loaded_hard = len(builder.hard)
             return
-        sat.ensure_vars(builder.num_vars)
-        for clause in builder.hard[self._loaded_hard:]:
-            sat.add_clause(clause)
-        self._loaded_hard = len(builder.hard)
+        self._loaded_hard = builder.stream_hard(sat, self._loaded_hard)
 
     def _add_relaxation_clause(self, sat: SatSolver, clause: list[int]) -> None:
         """Selector relaxation clauses go straight to the solver.
 
         They are search scaffolding, not part of the instance, so they never
-        enter ``builder.hard`` (keeping exports and clause counts faithful).
+        enter the builder's hard clauses (keeping exports and clause counts
+        faithful).
         """
         if self.session is not None:
             self.session.ensure_vars(self.builder.num_vars)

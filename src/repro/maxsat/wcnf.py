@@ -4,19 +4,30 @@
 variable counter, the hard clauses, and the weighted soft clauses, and it can
 be converted to the DIMACS containers in :mod:`repro.sat.dimacs`.
 
+Hard clauses live in one flat store, :attr:`WcnfBuilder.hard_flat`: a
+zero-terminated ``array('i')`` (the format of :mod:`repro.sat.flat`) plus a
+clause count.  Encoders append whole constraint families with
+:meth:`~WcnfBuilder.add_flat`, which validates the buffer once; small callers
+(totalizers, exclusion clauses) still use :meth:`~WcnfBuilder.add_hard`,
+which appends to the same store.
+
 The builder is itself a :class:`repro.sat.session.ClauseSink`, and it can be
 *attached* to another sink -- typically a live
-:class:`~repro.sat.session.SatSession`.  While attached, every hard clause is
-streamed into the session the moment it is added, so the MaxSAT strategies
-never replay ``self.hard`` into a fresh solver: by the time a strategy runs,
-the session already holds the formula.
+:class:`~repro.sat.session.SatSession`.  While attached, every hard clause or
+buffer is streamed into the session the moment it is added (a buffer in one
+``add_flat`` call), so the MaxSAT strategies never replay the store into a
+fresh solver: by the time a strategy runs, the session already holds the
+formula.  Readers that feed a solver of their own use
+:meth:`~WcnfBuilder.stream_hard`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.sat.dimacs import WcnfFormula
+from repro.sat.flat import LITERAL_LIMIT, iter_clauses, scan_flat
 
 
 @dataclass
@@ -32,11 +43,15 @@ class WcnfBuilder:
     """Incrementally built weighted partial MaxSAT instance."""
 
     num_vars: int = 0
-    hard: list[list[int]] = field(default_factory=list)
     soft: list[SoftClause] = field(default_factory=list)
+    #: Every hard clause, zero-terminated, in insertion order.  Read-only
+    #: for callers: append through :meth:`add_hard` / :meth:`add_flat`.
+    hard_flat: array = field(default_factory=lambda: array("i"))
+    _num_hard: int = field(default=0, repr=False)
     #: Attached streaming sink (a ``SatSession`` in practice); ``None`` keeps
-    #: the builder a plain in-memory container, exactly as before.
+    #: the builder a plain in-memory container.
     _sink: object | None = field(default=None, repr=False, compare=False)
+    #: Words of ``hard_flat`` the sink has already received.
     _streamed: int = field(default=0, repr=False, compare=False)
     #: The sink generation last streamed to; a mismatch (session reset)
     #: restarts streaming from the first clause.
@@ -58,18 +73,38 @@ class WcnfBuilder:
         immediately, so attached solvers stay in sync clause by clause.
         """
         self._validate(clause)
-        stored = list(clause)
-        self.hard.append(stored)
-        sink = self._sink
-        if sink is not None:
-            if (self._streamed == len(self.hard) - 1
-                    and getattr(sink, "generation", 0) == self._sink_generation):
-                # Fast path: the sink is in sync, stream just this clause.
-                sink.ensure_vars(self.num_vars)
-                sink.add_hard(stored)
-                self._streamed += 1
-            else:
-                self.sync_sink()
+        in_sync = self._in_sync()
+        self.hard_flat.extend(clause)
+        self.hard_flat.append(0)
+        self._num_hard += 1
+        if in_sync:
+            self._sink.ensure_vars(self.num_vars)
+            self._sink.add_hard(clause)
+            self._streamed = len(self.hard_flat)
+        elif self._sink is not None:
+            self.sync_sink()
+
+    def add_flat(self, buffer) -> int:
+        """Add a zero-terminated int32 buffer of hard clauses; return their count.
+
+        The buffer is validated once, as a whole (see :mod:`repro.sat.flat`),
+        and an attached sink receives it in a single ``add_flat`` call.
+        """
+        count, largest = scan_flat(buffer)
+        if not count:
+            return 0
+        if largest > self.num_vars:
+            self.num_vars = largest
+        in_sync = self._in_sync()
+        self.hard_flat.frombytes(memoryview(buffer).cast("B"))
+        self._num_hard += count
+        if in_sync:
+            self._sink.ensure_vars(self.num_vars)
+            self._sink.add_flat(buffer)
+            self._streamed = len(self.hard_flat)
+        elif self._sink is not None:
+            self.sync_sink()
+        return count
 
     def add_soft(self, clause: list[int], weight: int = 1) -> None:
         """Add a soft clause with the given positive integer weight."""
@@ -84,8 +119,11 @@ class WcnfBuilder:
         for literal in clause:
             if literal == 0:
                 raise ValueError("0 is not a valid literal")
-            if abs(literal) > self.num_vars:
-                self.num_vars = abs(literal)
+            magnitude = abs(literal)
+            if magnitude > self.num_vars:
+                if magnitude > LITERAL_LIMIT:
+                    raise OverflowError("literal out of range")
+                self.num_vars = magnitude
 
     # ------------------------------------------------------------ streaming
 
@@ -94,13 +132,19 @@ class WcnfBuilder:
         """The attached streaming sink, if any."""
         return self._sink
 
+    def _in_sync(self) -> bool:
+        """Whether the sink holds every clause so far (fast streaming path)."""
+        sink = self._sink
+        return (sink is not None and self._streamed == len(self.hard_flat)
+                and getattr(sink, "generation", 0) == self._sink_generation)
+
     def attach_sink(self, sink) -> None:
         """Stream hard clauses into ``sink`` as they are added.
 
         Clauses already in the builder are streamed immediately (exactly
-        once); afterwards every :meth:`add_hard` forwards the clause the
-        moment it exists.  Attaching a *different* sink restarts streaming
-        from the first clause for that sink.
+        once); afterwards every :meth:`add_hard` / :meth:`add_flat` forwards
+        its clauses the moment they exist.  Attaching a *different* sink
+        restarts streaming from the first clause for that sink.
         """
         if sink is self._sink:
             self.sync_sink()
@@ -129,10 +173,20 @@ class WcnfBuilder:
         if generation != self._sink_generation:
             self._streamed = 0
             self._sink_generation = generation
-        sink.ensure_vars(self.num_vars)
-        for clause in self.hard[self._streamed:]:
-            sink.add_hard(clause)
-        self._streamed = len(self.hard)
+        self._streamed = self.stream_hard(sink, self._streamed)
+
+    def stream_hard(self, target, start: int = 0) -> int:
+        """Feed the hard clauses from word ``start`` on into ``target``.
+
+        ``target`` is anything with ``ensure_vars`` and ``add_flat`` (a
+        session or a bare solver).  Returns the end offset, which a caller
+        passes back as ``start`` to feed only the clauses added since.
+        """
+        target.ensure_vars(self.num_vars)
+        end = len(self.hard_flat)
+        if start < end:
+            target.add_flat(self.hard_flat[start:])
+        return end
 
     # -------------------------------------------------------------- queries
 
@@ -142,7 +196,7 @@ class WcnfBuilder:
 
     @property
     def num_hard(self) -> int:
-        return len(self.hard)
+        return self._num_hard
 
     @property
     def num_soft(self) -> int:
@@ -155,7 +209,7 @@ class WcnfBuilder:
     def to_dimacs(self) -> WcnfFormula:
         """Convert to the DIMACS WCNF container (for export / debugging)."""
         formula = WcnfFormula(num_vars=self.num_vars)
-        for clause in self.hard:
+        for clause in iter_clauses(self.hard_flat):
             formula.add_hard(clause)
         for soft in self.soft:
             formula.add_soft(soft.literals, soft.weight)

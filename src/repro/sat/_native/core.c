@@ -101,6 +101,7 @@ typedef struct {
     veci minstack;
     veci visited_list;
     veci final_stack;
+    veci clause_in;        /* add_clause: literals parsed from Python */
 } Core;
 
 /* ------------------------------------------------------------------ utils */
@@ -912,6 +913,7 @@ static PyObject *Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     veci_init(&s->minstack);
     veci_init(&s->visited_list);
     veci_init(&s->final_stack);
+    veci_init(&s->clause_in);
     return (PyObject *)s;
 }
 
@@ -964,16 +966,14 @@ static void Core_dealloc(Core *s)
     veci_free(&s->minstack);
     veci_free(&s->visited_list);
     veci_free(&s->final_stack);
+    veci_free(&s->clause_in);
     Py_TYPE(s)->tp_free((PyObject *)s);
 }
 
-static PyObject *oom_check(Core *s)
+static PyObject *no_memory(Core *s)
 {
-    if (s->oom) {
-        s->oom = 0;
-        return PyErr_NoMemory();
-    }
-    return NULL;
+    s->oom = 0;
+    return PyErr_NoMemory();
 }
 
 static PyObject *Core_new_var(Core *s, PyObject *noargs)
@@ -1011,20 +1011,21 @@ static int enqueue_root_unit(Core *s, int literal)
     return 1;
 }
 
-static PyObject *Core_add_clause(Core *s, PyObject *arg)
+/* Simplify and store one clause; mirrors SatSolver.add_clause.  Duplicate
+ * literals are dropped, tautologies and root-satisfied clauses are skipped,
+ * root-false literals are removed, and a unit is enqueued and propagated at
+ * the root.  This is the only clause-ingestion path: add_clause and
+ * add_clauses both feed it.  Returns 1 (formula still satisfiable), 0 (it
+ * became UNSAT at the root) or -1 (out of memory). */
+static int add_clause_lits(Core *s, const int *lits, Py_ssize_t n)
 {
-    PyObject *seq;
-    Py_ssize_t n, i;
-    int result = 1;
+    veci *out = &s->learnt_clause; /* reused as the simplified-clause scratch */
+    Py_ssize_t i;
+    long cr;
 
     if (!s->ok)
-        return PyBool_FromLong(0);
-    seq = PySequence_Fast(arg, "add_clause expects a sequence of literals");
-    if (seq == NULL)
-        return NULL;
-    n = PySequence_Fast_GET_SIZE(seq);
-
-    s->learnt_clause.size = 0; /* reuse as the simplified-clause scratch */
+        return 0;
+    out->size = 0;
     if (s->lit_epoch == INT_MAX) {
         memset(s->lit_stamp, 0, 2 * (size_t)s->var_cap * sizeof(int));
         s->lit_epoch = 0;
@@ -1032,8 +1033,55 @@ static PyObject *Core_add_clause(Core *s, PyObject *arg)
     s->lit_epoch++;
 
     for (i = 0; i < n; i++) {
+        int lit = lits[i];
+        if (ensure_var_cap(s, lit > 0 ? lit : -lit) < 0)
+            return -1;
+        if (s->lit_stamp[windex(-lit)] == s->lit_epoch)
+            return 1; /* tautology, trivially satisfied */
+        if (s->lit_stamp[windex(lit)] == s->lit_epoch)
+            continue;
+        if (s->trail_lim_size == 0) {
+            signed char value = val_lit(s, lit);
+            if (value == 1)
+                return 1;
+            if (value == -1)
+                continue;
+        }
+        s->lit_stamp[windex(lit)] = s->lit_epoch;
+        if (veci_push(s, out, lit) < 0)
+            return -1;
+    }
+
+    if (out->size == 0) {
+        s->ok = 0;
+        return 0;
+    }
+    if (out->size == 1) {
+        int result = enqueue_root_unit(s, out->data[0]);
+        return s->oom ? -1 : result;
+    }
+    cr = alloc_clause(s, out->data, out->size, 0);
+    if (cr == CREF_UNDEF || watch_clause(s, cr) < 0)
+        return -1;
+    s->n_problem++;
+    return 1;
+}
+
+static PyObject *Core_add_clause(Core *s, PyObject *arg)
+{
+    PyObject *seq;
+    Py_ssize_t n, i;
+    int result;
+
+    if (!s->ok)
+        return PyBool_FromLong(0);
+    seq = PySequence_Fast(arg, "add_clause expects a sequence of literals");
+    if (seq == NULL)
+        return NULL;
+    n = PySequence_Fast_GET_SIZE(seq);
+    s->clause_in.size = 0;
+    for (i = 0; i < n; i++) {
         long literal = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        int lit, variable;
         if (literal == -1 && PyErr_Occurred()) {
             Py_DECREF(seq);
             return NULL;
@@ -1048,49 +1096,107 @@ static PyObject *Core_add_clause(Core *s, PyObject *arg)
             PyErr_SetString(PyExc_OverflowError, "literal out of range");
             return NULL;
         }
-        lit = (int)literal;
-        variable = lit > 0 ? lit : -lit;
-        if (ensure_var_cap(s, variable) < 0) {
+        if (veci_push(s, &s->clause_in, (int)literal) < 0) {
             Py_DECREF(seq);
-            return PyErr_NoMemory();
+            return no_memory(s);
         }
-        if (s->lit_stamp[windex(-lit)] == s->lit_epoch) {
-            Py_DECREF(seq); /* tautology, trivially satisfied */
-            return PyBool_FromLong(1);
-        }
-        if (s->lit_stamp[windex(lit)] == s->lit_epoch)
-            continue;
-        if (s->trail_lim_size == 0) {
-            signed char value = val_lit(s, lit);
-            if (value == 1) {
-                Py_DECREF(seq);
-                return PyBool_FromLong(1);
-            }
-            if (value == -1)
-                continue;
-        }
-        s->lit_stamp[windex(lit)] = s->lit_epoch;
-        veci_push(s, &s->learnt_clause, lit);
     }
     Py_DECREF(seq);
-    if (oom_check(s))
-        return NULL;
-
-    if (s->learnt_clause.size == 0) {
-        s->ok = 0;
-        result = 0;
-    } else if (s->learnt_clause.size == 1) {
-        result = enqueue_root_unit(s, s->learnt_clause.data[0]);
-    } else {
-        long cr = alloc_clause(s, s->learnt_clause.data,
-                               s->learnt_clause.size, 0);
-        if (cr == CREF_UNDEF || watch_clause(s, cr) < 0)
-            return PyErr_NoMemory();
-        s->n_problem++;
-    }
-    if (oom_check(s))
-        return NULL;
+    result = add_clause_lits(s, s->clause_in.data, s->clause_in.size);
+    if (result < 0)
+        return no_memory(s);
     return PyBool_FromLong(result);
+}
+
+/* Borrow ``arg`` as a one-dimensional buffer of C ints (TypeError if not). */
+static int get_int32_buffer(PyObject *arg, Py_buffer *view)
+{
+    const char *format;
+    if (PyObject_GetBuffer(arg, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    format = view->format != NULL ? view->format : "B";
+    if (format[0] == '@' || format[0] == '=')
+        format++;
+    if (view->ndim != 1 || view->itemsize != (Py_ssize_t)sizeof(int)
+            || strcmp(format, "i") != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_TypeError,
+                        "flat clauses must be an int32 buffer such as "
+                        "array('i')");
+        return -1;
+    }
+    return 0;
+}
+
+/* Check a whole flat buffer before anything is ingested: zero-terminated,
+ * no empty clause, every literal within range.  Counts the clauses and the
+ * largest variable; sets a Python error and returns -1 on bad input. */
+static int validate_flat(const int *data, Py_ssize_t n, Py_ssize_t *clauses,
+                         int *max_var)
+{
+    Py_ssize_t i, count = 0;
+    int largest = 0, previous = 0;
+    for (i = 0; i < n; i++) {
+        int lit = data[i];
+        if (lit == 0) {
+            if (previous == 0) {
+                PyErr_SetString(PyExc_ValueError,
+                                "flat clause buffers may not hold an empty "
+                                "clause");
+                return -1;
+            }
+            count++;
+        } else {
+            if (lit > INT_MAX / 2 || lit < -(INT_MAX / 2)) {
+                PyErr_SetString(PyExc_OverflowError, "literal out of range");
+                return -1;
+            }
+            if (lit > largest || -lit > largest)
+                largest = lit > 0 ? lit : -lit;
+        }
+        previous = lit;
+    }
+    if (previous != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "flat clause buffer must end with a 0 terminator");
+        return -1;
+    }
+    *clauses = count;
+    *max_var = largest;
+    return 0;
+}
+
+/* Bulk ingestion: every clause of a zero-terminated int32 buffer goes
+ * through add_clause_lits, in order.  Clauses after the formula turns
+ * root-UNSAT are skipped, as a per-clause loop would.  The GIL stays held
+ * from validation to the end of ingestion, so no other thread can change
+ * the buffer between the check and the read.  Returns the number of
+ * clauses in the buffer. */
+static PyObject *Core_add_clauses(Core *s, PyObject *arg)
+{
+    Py_buffer view;
+    const int *data;
+    Py_ssize_t n, clauses, start = 0, i;
+    int max_var, result = 1;
+
+    if (get_int32_buffer(arg, &view) < 0)
+        return NULL;
+    data = (const int *)view.buf;
+    n = view.len / (Py_ssize_t)sizeof(int);
+    if (validate_flat(data, n, &clauses, &max_var) < 0) {
+        PyBuffer_Release(&view);
+        return NULL;
+    }
+    for (i = 0; i < n && result >= 0 && s->ok; i++) {
+        if (data[i] == 0) {
+            result = add_clause_lits(s, data + start, i - start);
+            start = i + 1;
+        }
+    }
+    PyBuffer_Release(&view);
+    if (result < 0)
+        return no_memory(s);
+    return PyLong_FromSsize_t(clauses);
 }
 
 static PyObject *Core_prepare_solve(Core *s, PyObject *arg)
@@ -1142,8 +1248,8 @@ static PyObject *Core_prepare_solve(Core *s, PyObject *arg)
     Py_BEGIN_ALLOW_THREADS
     conflict = propagate(s);
     Py_END_ALLOW_THREADS
-    if (oom_check(s))
-        return NULL;
+    if (s->oom)
+        return no_memory(s);
     if (conflict != CREF_UNDEF) {
         s->ok = 0;
         return PyLong_FromLong(-1);
@@ -1162,10 +1268,8 @@ static PyObject *Core_search(Core *s, PyObject *args)
     Py_BEGIN_ALLOW_THREADS
     status = search(s, max_conflicts, conflict_budget, time_budget);
     Py_END_ALLOW_THREADS
-    if (status == -3) {
-        s->oom = 0;
-        return PyErr_NoMemory();
-    }
+    if (status == -3)
+        return no_memory(s);
     return PyLong_FromLong(status);
 }
 
@@ -1235,8 +1339,7 @@ static PyObject *Core_export_clauses(Core *s, PyObject *noargs)
     }
     if (s->oom) {
         veci_free(&flat);
-        s->oom = 0;
-        return PyErr_NoMemory();
+        return no_memory(s);
     }
     list = PyList_New(flat.size);
     if (list == NULL) {
@@ -1283,6 +1386,9 @@ static PyMethodDef Core_methods[] = {
      "Make sure all variables up to max_var exist."},
     {"add_clause", (PyCFunction)Core_add_clause, METH_O,
      "Add a clause; returns False if the formula became trivially UNSAT."},
+    {"add_clauses", (PyCFunction)Core_add_clauses, METH_O,
+     "Add every clause of a zero-terminated int32 buffer; returns the "
+     "clause count."},
     {"prepare_solve", (PyCFunction)Core_prepare_solve, METH_O,
      "Set assumptions, backtrack to root, propagate; -1 on root conflict."},
     {"search", (PyCFunction)Core_search, METH_VARARGS,
@@ -1325,11 +1431,34 @@ static PyTypeObject CoreType = {
     .tp_getset = Core_getset,
 };
 
+static PyObject *scan_flat(PyObject *module, PyObject *arg)
+{
+    Py_buffer view;
+    Py_ssize_t clauses;
+    int max_var, status;
+    if (get_int32_buffer(arg, &view) < 0)
+        return NULL;
+    status = validate_flat((const int *)view.buf,
+                           view.len / (Py_ssize_t)sizeof(int),
+                           &clauses, &max_var);
+    PyBuffer_Release(&view);
+    if (status < 0)
+        return NULL;
+    return Py_BuildValue("(ni)", clauses, max_var);
+}
+
+static PyMethodDef module_methods[] = {
+    {"scan_flat", (PyCFunction)scan_flat, METH_O,
+     "Validate a flat int32 clause buffer; return (clauses, max_var)."},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyModuleDef core_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sat._native.core",
     .m_doc = "Native CDCL inner loops behind repro.sat.native.NativeSatSolver.",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC PyInit_core(void)

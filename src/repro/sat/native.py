@@ -35,10 +35,12 @@ pure-Python solver instead.
 from __future__ import annotations
 
 import time
+from array import array
 
 from repro.obs import trace as obs_trace
 from repro.sat import backends
 from repro.sat._native import load_core
+from repro.sat.flat import iter_clauses
 from repro.sat.solver import (
     SolverStatistics,
     SolverStatus,
@@ -68,13 +70,7 @@ def _rebuild_solver(kwargs: dict, flat_clauses: list[int], num_vars: int,
             restart_base=kwargs.get("restart_base", 100),
             max_learnt_ratio=kwargs.get("max_learnt_ratio", 0.4),
         )
-    clause: list[int] = []
-    for literal in flat_clauses:
-        if literal == 0:
-            solver.add_clause(clause)
-            clause = []
-        else:
-            clause.append(literal)
+    solver.add_flat(array("i", flat_clauses))
     solver.ensure_vars(num_vars)
     for key, value in stats.items():
         if key != "backend":
@@ -147,6 +143,23 @@ class NativeSatSolver:
         for clause in clauses:
             ok = self.add_clause(clause) and ok
         return ok
+
+    def add_flat(self, buffer) -> int:
+        """Add every clause of a flat int32 buffer in one C call.
+
+        Same simplification as :meth:`add_clause`, clause by clause; see
+        :mod:`repro.sat.flat` for the format and its errors.  Returns the
+        number of clauses in the buffer.
+        """
+        logging = self._crosscheck and self._core.ok
+        count = self._core.add_clauses(buffer)
+        if logging:
+            self._clause_log.extend(iter_clauses(buffer))
+        return count
+
+    def export_clauses(self) -> list[int]:
+        """Flat dump of the problem clauses, then each root unit as a clause."""
+        return self._core.export_clauses()
 
     def num_clauses(self) -> int:
         return self._core.num_problem
@@ -291,7 +304,7 @@ class NativeSatSolver:
             _rebuild_solver,
             (
                 dict(self._kwargs),
-                self._core.export_clauses(),
+                self.export_clauses(),
                 self._core.num_vars,
                 self.stats.as_dict(),
             ),

@@ -13,7 +13,10 @@ faster as the session warms up.
 streamed into": both :class:`SatSession` and
 :class:`repro.maxsat.wcnf.WcnfBuilder` satisfy it, which lets the QMR encoder
 emit clauses directly into a live solver while it encodes instead of
-materialising a list that a strategy later copies back in.
+materialising a list that a strategy later copies back in.  Clauses arrive
+one at a time (``add_hard``) or a whole constraint family at once as a flat
+zero-terminated int32 buffer (``add_flat``, see :mod:`repro.sat.flat`),
+which the native core ingests in a single call.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ class ClauseSink(Protocol):
 
     def add_hard(self, clause: list[int]) -> None:
         """Ingest one hard clause."""
+
+    def add_flat(self, buffer) -> int:
+        """Ingest a zero-terminated int32 buffer of hard clauses.
+
+        See :mod:`repro.sat.flat`; returns the number of clauses.
+        """
 
 
 @dataclass
@@ -93,6 +102,12 @@ class SatSession:
 
     # Alias so the session can stand in wherever a raw solver was expected.
     add_clause = add_hard
+
+    def add_flat(self, buffer) -> int:
+        """Stream a flat buffer of hard clauses into the solver in one call."""
+        count = self.solver.add_flat(buffer)
+        self.stats.clauses_streamed += count
+        return count
 
     # -------------------------------------------------------------- solving
 

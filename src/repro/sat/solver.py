@@ -26,6 +26,7 @@ from enum import Enum
 from repro.obs import trace as obs_trace
 from repro.sat.assignment import Trail
 from repro.sat.clause import Clause, ClauseDatabase
+from repro.sat.flat import iter_clauses, scan_flat
 from repro.sat.literals import neg, var_of
 from repro.sat.vsids import VsidsHeap
 
@@ -231,6 +232,31 @@ class SatSolver:
         for clause in clauses:
             ok = self.add_clause(clause) and ok
         return ok
+
+    def add_flat(self, buffer) -> int:
+        """Add every clause of a flat int32 buffer (see :mod:`repro.sat.flat`).
+
+        The whole buffer is validated first, then each clause goes through
+        :meth:`add_clause` in order.  Returns the number of clauses in it.
+        """
+        count, _ = scan_flat(buffer)
+        for clause in iter_clauses(buffer):
+            if not self._ok:
+                break
+            self.add_clause(clause)
+        return count
+
+    def export_clauses(self) -> list[int]:
+        """Flat dump of the problem clauses, then each root unit as a clause."""
+        flat: list[int] = []
+        for clause in self.database.problem_clauses:
+            flat += clause.literals
+            flat.append(0)
+        levels = self.trail.levels
+        for literal in self.trail.trail:
+            if levels[abs(literal)] == 0:
+                flat += (literal, 0)
+        return flat
 
     def _enqueue_root_unit(self, literal: int) -> bool:
         value = self.trail.value_of_literal(literal)

@@ -3,6 +3,9 @@
 A scripted router stands in for the SAT solve so the tests pin the exact
 order of recovery attempts: backtracking until the budget is spent, then
 leading-slot doubling up to the graph diameter, then per-gate escalation.
+Every scripted attempt reports fixed stage timings, so the tests can also
+check that the routed result accounts for the time of every attempt, not
+just the attempts that survive into the solution.
 """
 
 from repro.circuits.circuit import QuantumCircuit
@@ -11,6 +14,10 @@ from repro.core.result import RoutingResult, RoutingStatus
 from repro.core.satmap import MonolithicOutcome
 from repro.core.slicing import route_sliced
 from repro.hardware.topologies import line_architecture
+
+#: Stage seconds every scripted attempt reports; solved ones also extract.
+ATTEMPT_TIMINGS = {"encode": 1.0, "solve": 2.0}
+EXTRACT_SECONDS = 0.25
 
 
 def two_slice_circuit(num_qubits: int = 5) -> QuantumCircuit:
@@ -48,9 +55,12 @@ class ScriptedRouter:
         )
         self.calls.append(call)
         if fixed_initial_mapping is not None and self.unsat_while(call):
+            call["solved"] = False
             return MonolithicOutcome(RoutingResult(
                 status=RoutingStatus.UNSATISFIABLE, router_name=self.name,
-                circuit_name=circuit.name))
+                circuit_name=circuit.name,
+                stage_timings=dict(ATTEMPT_TIMINGS)))
+        call["solved"] = True
         identity = {q: q for q in range(architecture.num_qubits)}
         return MonolithicOutcome(RoutingResult(
             status=RoutingStatus.OPTIMAL, router_name=self.name,
@@ -58,7 +68,19 @@ class ScriptedRouter:
             initial_mapping=dict(fixed_initial_mapping or identity),
             final_mapping=dict(fixed_initial_mapping or identity),
             routed_circuit=QuantumCircuit(architecture.num_qubits),
+            stage_timings={**ATTEMPT_TIMINGS, "extract": EXTRACT_SECONDS},
         ))
+
+
+def assert_stages_cover_every_attempt(result, router) -> None:
+    """The result's stage timings sum over all attempts, discarded ones too."""
+    attempts = len(router.calls)
+    solved = sum(1 for call in router.calls if call["solved"])
+    assert result.stage_timings == {
+        "encode": attempts * ATTEMPT_TIMINGS["encode"],
+        "solve": attempts * ATTEMPT_TIMINGS["solve"],
+        "extract": solved * EXTRACT_SECONDS,
+    }
 
 
 class TestBacktrackBudget:
@@ -83,6 +105,9 @@ class TestBacktrackBudget:
         # retry beyond the backtracks doubles the leading slots.
         slice1_calls = [c for c in router.calls if c["fixed"] is not None]
         assert [c["leading_slots"] for c in slice1_calls] == [1, 1, 1, 2]
+        # Backtracked slice-0 solves and failed slice-1 attempts both count.
+        assert len(router.calls) == 7
+        assert_stages_cover_every_attempt(result, router)
 
     def test_zero_budget_escalates_immediately(self):
         arch = line_architecture(5)
@@ -94,6 +119,7 @@ class TestBacktrackBudget:
         assert result.backtracks == 0
         slice1_calls = [c for c in router.calls if c["fixed"] is not None]
         assert [c["leading_slots"] for c in slice1_calls] == [1, 2]
+        assert_stages_cover_every_attempt(result, router)
 
 
 class TestLeadingSlotEscalation:
@@ -112,6 +138,41 @@ class TestLeadingSlotEscalation:
         # per-gate slot count (the last resort that keeps slicing complete).
         assert [c["swaps_per_gate"] for c in slice1_calls] == [None, None,
                                                                None, 2]
+        assert_stages_cover_every_attempt(result, router)
+
+    def test_exhausted_ladder_reports_every_attempt(self):
+        """A slice that stays UNSAT returns its failure with all attempts' time."""
+        arch = line_architecture(5)
+        router = ScriptedRouter(arch, backtrack_limit=1,
+                                unsat_while=lambda call: True)
+        result = route_sliced(two_slice_circuit(), arch, router)
+        assert result.status is RoutingStatus.UNSATISFIABLE
+        assert result.backtracks == 1
+        assert_stages_cover_every_attempt(result, router)
+
+    def test_real_router_stages_cover_backtracked_attempts(self):
+        """End-to-end: the sliced result's stage time includes every attempt."""
+        from repro.core import SatMapRouter
+
+        circuit = QuantumCircuit(
+            5, [cx(0, 1), cx(3, 4), cx(0, 4), cx(1, 3), cx(0, 3), cx(2, 4)],
+            name="hard_handoffs")
+        router = SatMapRouter(slice_size=2, time_budget=120, backtrack_limit=0)
+        recorded = []
+        original = router.solve_monolithic
+
+        def solve_monolithic(*args, **kwargs):
+            outcome = original(*args, **kwargs)
+            recorded.append(outcome.result.stage_timings)
+            return outcome
+
+        router.solve_monolithic = solve_monolithic
+        result = router.route(circuit, line_architecture(5))
+        assert result.solved
+        assert len(recorded) > result.num_slices  # escalations happened
+        for stage in ("encode", "solve"):
+            expected = sum(timings.get(stage, 0.0) for timings in recorded)
+            assert abs(result.stage_timings[stage] - expected) < 1e-9
 
     def test_real_router_survives_zero_backtracks_on_a_line(self):
         """End-to-end: escalation alone repairs hard handoffs."""

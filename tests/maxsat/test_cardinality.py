@@ -23,9 +23,7 @@ def count_models_with(builder: WcnfBuilder, num_inputs: int,
     total = 0
     for bits in itertools.product([False, True], repeat=num_inputs):
         solver = SatSolver()
-        solver.ensure_vars(builder.num_vars)
-        for clause in builder.hard:
-            solver.add_clause(clause)
+        builder.stream_hard(solver)
         assumptions = [var if value else -var
                        for var, value in zip(range(1, num_inputs + 1), bits)]
         result = solver.solve(assumptions=assumptions)
@@ -107,9 +105,7 @@ class TestTotalizer:
         inputs = builder.new_vars(4)
         totalizer = Totalizer(builder, inputs)
         solver = SatSolver()
-        solver.ensure_vars(builder.num_vars)
-        for clause in builder.hard:
-            solver.add_clause(clause)
+        builder.stream_hard(solver)
         # Force three inputs true, then ask for "at most 2" via assumptions.
         result = solver.solve(assumptions=[inputs[0], inputs[1], inputs[2]]
                               + totalizer.assumption_for_at_most(2))

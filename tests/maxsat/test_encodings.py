@@ -19,9 +19,7 @@ from repro.sat.solver import SatSolver, SolverStatus
 
 def _solve_with(builder, extra_units):
     solver = SatSolver()
-    solver.ensure_vars(builder.num_vars)
-    for clause in builder.hard:
-        solver.add_clause(clause)
+    builder.stream_hard(solver)
     for literal in extra_units:
         solver.add_clause([literal])
     return solver.solve()
@@ -64,7 +62,7 @@ class TestLadderAmo:
     def test_clause_count_is_linear(self):
         builder, literals = _fresh(30)
         at_most_one_ladder(builder, literals)
-        assert len(builder.hard) < 4 * 30  # pairwise would need 435 clauses
+        assert builder.num_hard < 4 * 30  # pairwise would need 435 clauses
 
 
 class TestBitwiseAmo:
@@ -101,7 +99,7 @@ class TestSequentialCounter:
     def test_bound_at_size_adds_nothing(self):
         builder, literals = _fresh(4)
         at_most_k_sequential(builder, literals, 4)
-        assert builder.hard == []
+        assert builder.num_hard == 0
 
     def test_outputs_reflect_counts(self):
         builder, literals = _fresh(4)
@@ -117,9 +115,7 @@ class TestSequentialCounter:
         counter = SequentialCounter(builder, literals)
         assumptions = counter.assumption_for_at_most(1)
         solver = SatSolver()
-        solver.ensure_vars(builder.num_vars)
-        for clause in builder.hard:
-            solver.add_clause(clause)
+        builder.stream_hard(solver)
         for literal in (literals[0], literals[1]):
             solver.add_clause([literal])
         assert solver.solve(assumptions=assumptions).status is SolverStatus.UNSAT

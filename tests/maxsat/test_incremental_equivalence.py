@@ -35,7 +35,7 @@ def random_wcnf(rng: random.Random, weighted: bool) -> WcnfBuilder:
 def clone(builder: WcnfBuilder) -> WcnfBuilder:
     copy = WcnfBuilder()
     copy.new_vars(builder.num_vars)
-    for clause in builder.hard:
+    for clause in builder.to_dimacs().hard:
         copy.add_hard(list(clause))
     for soft in builder.soft:
         copy.add_soft(list(soft.literals), soft.weight)

@@ -14,10 +14,11 @@ from repro.maxsat.wcnf import WcnfBuilder, clause_satisfied
 def _brute_force_optimum(builder):
     """Minimum falsified soft weight over all models of the hard clauses."""
     variables = list(range(1, builder.num_vars + 1))
+    hard = builder.to_dimacs().hard
     best = None
     for bits in itertools.product([False, True], repeat=len(variables)):
         model = dict(zip(variables, bits))
-        if not all(clause_satisfied(clause, model) for clause in builder.hard):
+        if not all(clause_satisfied(clause, model) for clause in hard):
             continue
         cost = builder.cost_of_model(model)
         best = cost if best is None else min(best, cost)

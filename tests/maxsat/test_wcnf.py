@@ -19,7 +19,7 @@ class TestWcnfBuilder:
     def test_add_hard_records_clause(self):
         builder = WcnfBuilder()
         builder.add_hard([1, -2])
-        assert builder.hard == [[1, -2]]
+        assert builder.to_dimacs().hard == [[1, -2]]
         assert builder.num_hard == 1
 
     def test_add_soft_default_weight(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import urllib.error
 import urllib.request
 
@@ -11,6 +12,7 @@ from repro.api.registry import describe_routers
 from repro.circuits.random_circuits import random_circuit
 from repro.hardware.devices import device_records
 from repro.server import RoutingClient, ServerError
+from repro.service import BatchRoutingService
 
 
 @pytest.fixture
@@ -268,22 +270,35 @@ class TestRecordLifecycle:
 
 class TestDrain:
     def test_drain_completes_queued_jobs_and_closes(self, gateway_factory):
-        gateway = gateway_factory()
+        service = BatchRoutingService(mode="serial", time_budget=5.0)
+        release = threading.Event()
+        route_batch = service.route_batch
+
+        def held_route_batch(jobs, **kwargs):
+            # The dispatcher stays inside its first batch until the refused
+            # submit below has been observed, so the drain overlaps
+            # in-flight work however fast the solves are.
+            release.wait(timeout=60)
+            return route_batch(jobs, **kwargs)
+
+        service.route_batch = held_route_batch
+        gateway = gateway_factory(service=service)
         client = RoutingClient(port=gateway.port)
-        # satmap with a real budget keeps the dispatcher busy long enough
-        # that the drain demonstrably overlaps in-flight work.
-        tickets = [client.submit(random_circuit(4, 10, seed=seed,
-                                                name=f"drain_gw_{seed}"),
-                                 architecture="tokyo6", router="satmap",
-                                 time_budget=1.0)
-                   for seed in range(3)]
-        drain = client.drain()
-        assert drain["draining"] is True
-        # Submissions are refused from now on ...
-        with pytest.raises(ServerError) as excinfo:
-            client.submit(random_circuit(4, 6, seed=99),
-                          architecture="tokyo6", router="sabre")
-        assert excinfo.value.status == 503
+        try:
+            tickets = [client.submit(random_circuit(4, 10, seed=seed,
+                                                    name=f"drain_gw_{seed}"),
+                                     architecture="tokyo6", router="satmap",
+                                     time_budget=1.0)
+                       for seed in range(3)]
+            drain = client.drain()
+            assert drain["draining"] is True
+            # Submissions are refused from now on ...
+            with pytest.raises(ServerError) as excinfo:
+                client.submit(random_circuit(4, 6, seed=99),
+                              architecture="tokyo6", router="sabre")
+            assert excinfo.value.status == 503
+        finally:
+            release.set()
         # ... but queued jobs still complete and the records hold results.
         gateway.stop(timeout=120)
         records = gateway.gateway.jobs
