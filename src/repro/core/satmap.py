@@ -102,12 +102,10 @@ class MonolithicOutcome:
     """Result of solving one (sub)circuit's encoding, before stitching."""
 
     result: RoutingResult
-    encoding: QmrEncoding | None = None
-    model: dict[int, bool] | None = None
     #: Present in incremental mode: hand it back to ``solve_monolithic`` to
     #: re-solve this encoding without rebuilding.
     context: SliceContext | None = None
-    #: The MaxSAT objective value of ``model`` (== swap count unweighted);
+    #: The MaxSAT objective value of the model (== swap count unweighted);
     #: ``-1`` when no model was found.  Cube racers compare on this.
     maxsat_cost: int = -1
     #: True when an external incumbent bound clipped the solve (see
@@ -357,10 +355,10 @@ class SatMapRouter(BaseRouter):
             base.solver_stats = context.session.solver_stats()
         if maxsat_result.status is MaxSatStatus.UNSATISFIABLE:
             base.status = RoutingStatus.UNSATISFIABLE
-            return MonolithicOutcome(base, encoding, None, context,
+            return MonolithicOutcome(base, context,
                                      pruned=maxsat_result.pruned)
         if not maxsat_result.has_model:
-            return MonolithicOutcome(base, encoding, None, context)
+            return MonolithicOutcome(base, context)
 
         extract_start = time.monotonic()
         with obs_trace.span("extract") as extract_span:
@@ -377,7 +375,7 @@ class SatMapRouter(BaseRouter):
         base.swap_count = solution.swap_count
         if self.noise_model is not None:
             base.objective_value = _routed_fidelity(routed, self.noise_model)
-        return MonolithicOutcome(base, encoding, maxsat_result.model, context,
+        return MonolithicOutcome(base, context,
                                  maxsat_cost=maxsat_result.cost,
                                  pruned=maxsat_result.pruned)
 

@@ -9,6 +9,16 @@ constraints are unsatisfiable -- possible whenever ``swaps_per_gate`` is below
 the graph diameter -- we *backtrack*: the previous slice's final mapping is
 excluded by a new hard clause (the negation of its assignment) and the
 previous slice is re-solved, exactly as described in Section V.
+
+Memory is bounded by the backtracking window, not by the circuit length.
+Backtracking moves down one slice per unit of budget, so once slice ``i`` is
+solved no slice below ``floor = i + 1 - (backtrack_limit - backtracks)`` can
+ever be re-solved, and that floor never decreases.  Slices below it keep only
+their :class:`RoutingResult` (all the stitching reads); their solve sessions
+are released.  Slices inside the window keep their result and their
+:class:`SliceContext` but never the model dict.  The window therefore holds
+at most ``backtrack_limit + 1`` live sessions, and releasing the rest changes
+nothing the search can see.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.result import RoutingResult, RoutingStatus
-from repro.core.satmap import MonolithicOutcome, SliceContext
+from repro.core.satmap import SliceContext
 from repro.hardware.architecture import Architecture
 from repro.obs import trace as obs_trace
 
@@ -33,7 +43,9 @@ class SliceState:
 
     index: int
     circuit: QuantumCircuit
-    outcome: MonolithicOutcome | None = None
+    #: The accepted solution; ``None`` until solved and after a backtrack
+    #: rejects it.  Only the result is kept, never the model or encoding.
+    result: RoutingResult | None = None
     #: Final mappings excluded by backtracking (the negation of each becomes a
     #: hard clause when the slice is re-solved).
     excluded_final_mappings: list[dict[int, int]] = field(default_factory=list)
@@ -42,8 +54,11 @@ class SliceState:
     #: SWAP slots per gate inside the slice (escalated as a last resort).
     swaps_per_gate: int | None = None
     #: Persistent solve context (incremental mode): one live session per
-    #: slice, so backtracking re-solves stream only the new exclusion clause
-    #: and swap the initial-map assumptions instead of re-encoding.
+    #: slice inside the backtracking window, so re-solves stream only the new
+    #: exclusion clause and swap the initial-map assumptions instead of
+    #: re-encoding.  Released (set to ``None``) once the slice falls below
+    #: the window's floor, after which backtracking can no longer reach it;
+    #: at most ``backtrack_limit + 1`` slices hold one at a time.
     context: SliceContext | None = None
 
 
@@ -78,6 +93,7 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
     try:
         backtracks = 0
         index = 0
+        released = 0  # slices below this index hold no solve context
         while index < len(slices):
             remaining = router.time_budget - (time.monotonic() - start)
             if remaining <= 0:
@@ -93,9 +109,9 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
                     state, timeout=min(remaining, SlicePipeline.TAKE_TIMEOUT))
             fixed = None
             if index > 0:
-                previous = slices[index - 1].outcome
-                assert previous is not None and previous.result.solved
-                fixed = previous.result.final_mapping
+                previous = slices[index - 1].result
+                assert previous is not None and previous.solved
+                fixed = previous.final_mapping
             cubed = (index == 0 and router.cube_workers
                      and state.circuit.num_two_qubit_gates > 0)
             with obs_trace.span("slice", slice=state.index,
@@ -123,8 +139,14 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
             for stage, seconds in outcome.result.stage_timings.items():
                 stage_timings[stage] = stage_timings.get(stage, 0.0) + seconds
             if outcome.result.solved:
-                state.outcome = outcome
+                state.result = outcome.result
                 index += 1
+                # Backtracking from ``index`` re-solves at most the
+                # remaining budget's worth of slices below it.
+                floor = index - (router.backtrack_limit - backtracks)
+                while released < floor:
+                    slices[released].context = None
+                    released += 1
                 continue
             if outcome.result.status is RoutingStatus.TIMEOUT:
                 return _timeout_result(router, circuit, slices, backtracks,
@@ -137,12 +159,11 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
             if index > 0 and backtracks < router.backtrack_limit:
                 backtracks += 1
                 previous_state = slices[index - 1]
-                previous_outcome = previous_state.outcome
-                assert previous_outcome is not None
+                assert previous_state.result is not None
                 previous_state.excluded_final_mappings.append(
-                    dict(previous_outcome.result.final_mapping))
-                previous_state.outcome = None
-                state.outcome = None
+                    dict(previous_state.result.final_mapping))
+                previous_state.result = None
+                state.result = None
                 index -= 1
                 continue
             if index > 0 and state.leading_slots < diameter:
@@ -199,18 +220,18 @@ def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
     learnt_retained = 0
     solver_stats: dict[str, int] = {}
     for state in slices:
-        outcome = state.outcome
-        assert outcome is not None and outcome.result.routed_circuit is not None
-        routed.extend(outcome.result.routed_circuit)  # array-level bulk copy
-        total_swaps += outcome.result.swap_count
-        total_sat_calls += outcome.result.sat_calls
-        total_vars += outcome.result.num_variables
-        total_hard += outcome.result.num_hard_clauses
-        total_soft += outcome.result.num_soft_clauses
-        all_optimal = all_optimal and outcome.result.optimal
-        clauses_streamed += outcome.result.clauses_streamed
-        learnt_retained += outcome.result.learnt_clauses_retained
-        for counter, value in outcome.result.solver_stats.items():
+        result = state.result
+        assert result is not None and result.routed_circuit is not None
+        routed.extend(result.routed_circuit)  # array-level bulk copy
+        total_swaps += result.swap_count
+        total_sat_calls += result.sat_calls
+        total_vars += result.num_variables
+        total_hard += result.num_hard_clauses
+        total_soft += result.num_soft_clauses
+        all_optimal = all_optimal and result.optimal
+        clauses_streamed += result.clauses_streamed
+        learnt_retained += result.learnt_clauses_retained
+        for counter, value in result.solver_stats.items():
             if counter == "backend":
                 previous = solver_stats.get("backend")
                 solver_stats["backend"] = (value if previous in (None, value)
@@ -218,8 +239,8 @@ def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
             else:
                 solver_stats[counter] = solver_stats.get(counter, 0) + int(value)
 
-    first = slices[0].outcome
-    last = slices[-1].outcome
+    first = slices[0].result
+    last = slices[-1].result
     assert first is not None and last is not None
     objective_value = None
     if router.noise_model is not None:
@@ -231,8 +252,8 @@ def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,
         status=RoutingStatus.FEASIBLE,
         router_name=router.name,
         circuit_name=circuit.name,
-        initial_mapping=first.result.initial_mapping,
-        final_mapping=last.result.final_mapping,
+        initial_mapping=first.initial_mapping,
+        final_mapping=last.final_mapping,
         routed_circuit=routed,
         swap_count=total_swaps,
         solve_time=elapsed,

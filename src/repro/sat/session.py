@@ -126,7 +126,7 @@ class SatSession:
         self.stats.solve_calls += 1
         self.stats.solve_time += elapsed
         default_registry().histogram(
-            "repro_sat_solve_seconds",
+            "repro_sat_call_seconds",
             "Per-call SAT solve latency by solve core.",
             buckets=DEFAULT_SECONDS_BUCKETS,
         ).observe(elapsed, backend=self.backend)

@@ -16,8 +16,10 @@ from repro.core import SatMapRouter
 from repro.hardware.topologies import (
     grid_architecture,
     line_architecture,
+    reduced_tokyo_architecture,
     ring_architecture,
 )
+from repro.sat.backends import native_available
 
 
 ARCHITECTURES = {
@@ -85,3 +87,21 @@ class TestAgainstExhaustiveOptimum:
             heuristic = router.route(circuit, architecture)
             assert heuristic.solved
             assert heuristic.swap_count >= optimal.swap_count
+
+
+class TestNativeCoreSoundness:
+    @pytest.mark.skipif(not native_available(),
+                        reason="the compiled solve core is not built")
+    @pytest.mark.xfail(strict=True, reason=(
+        "native core unsound: analyze() clears mark[] over the compacted "
+        "learnt clause, so marks of minimised-away literals survive and "
+        "later minimisation drops literals that are not implied"))
+    def test_native_optimum_matches_the_exhaustive_optimum(self):
+        # The exhaustive router and the python core both find 1 SWAP; the
+        # native core returns 2 and claims optimality.
+        circuit = random_circuit(5, 14, seed=0, interaction_bias=0.5)
+        architecture = reduced_tokyo_architecture(8)
+        native = SatMapRouter(swaps_per_gate=2, solver_backend="native",
+                              time_budget=60).route(circuit, architecture)
+        assert native.optimal
+        assert native.swap_count == 1

@@ -158,3 +158,21 @@ class TestSlicedIncrementalEquivalence:
         assert result.solved
         verify_routing(circuit, result.routed_circuit, result.initial_mapping, arch)
         assert result.stage_timings  # aggregated across slices
+        # Releasing out-of-window sessions must not change the search: these
+        # figures are the unreleased search's (the same on both backends).
+        assert result.swap_count == 9
+        assert result.backtracks == 0
+
+    def test_released_sessions_leave_backtracking_unchanged(self):
+        # Three to five backtracks over eight slices: slices drop below the
+        # retention window while later ones still backtrack.  The figures
+        # are the unreleased search's; the two cores search differently.
+        circuit = random_circuit(5, 16, seed=2, single_qubit_ratio=0.0)
+        arch = line_architecture(5)
+        router = SatMapRouter(slice_size=2, time_budget=120, backtrack_limit=5)
+        result = router.route(circuit, arch)
+        assert result.solved and result.num_slices == 8
+        verify_routing(circuit, result.routed_circuit, result.initial_mapping, arch)
+        expected = {"native": (8, 3), "python": (14, 5)}
+        assert (result.swap_count, result.backtracks) == \
+            expected[result.solver_stats["backend"]]
