@@ -258,11 +258,6 @@ _SATMAP_OPTIONS = (
                 "merge adjacent repeats of the same interaction"),
     OptionField("incremental", "bool", True,
                 "solve through persistent SAT sessions"),
-    OptionField("cube_workers", "int", None, allow_none=True,
-                help="race this many cube-and-conquer workers over the "
-                     "initial-mapping space (default: serial)"),
-    OptionField("pipeline_slices", "bool", False,
-                "pre-encode slice k+1 in a worker while slice k solves"),
     OptionField("solver_backend", "str", None, allow_none=True,
                 help="SAT solve core: 'python', 'native', or 'auto' "
                      "(default: $REPRO_SAT_BACKEND, then auto)"),

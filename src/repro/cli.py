@@ -163,16 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--from-scratch", action="store_true",
                        help="disable incremental solve sessions (rebuild the "
                             "SAT solver on every call; satmap only)")
-    route.add_argument("--cube-workers", type=int, default=None,
-                       help="race N cube-and-conquer workers over the "
-                            "initial-mapping space (satmap only; default: serial)")
     route.add_argument("--solver-backend", default=None,
                        choices=["python", "native", "auto"],
                        help="SAT solve core (default: $REPRO_SAT_BACKEND, "
                             "then auto: native when built, else python)")
-    route.add_argument("--pipeline-slices", action="store_true",
-                       help="pre-encode slice k+1 in a worker process while "
-                            "slice k solves (satmap only)")
     route.add_argument("--output", type=Path, default=None,
                        help="output path (default: <input>.routed.qasm)")
     route.add_argument("--json", action="store_true",
@@ -385,10 +379,6 @@ def _route_spec(args: argparse.Namespace) -> RouterSpec:
             swaps_per_gate=args.swaps_per_gate,
             incremental=not args.from_scratch,
         )
-        if args.cube_workers is not None:
-            defaults["cube_workers"] = args.cube_workers
-        if args.pipeline_slices:
-            defaults["pipeline_slices"] = True
     return spec.with_defaults(**defaults)
 
 

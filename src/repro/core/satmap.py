@@ -105,12 +105,6 @@ class MonolithicOutcome:
     #: Present in incremental mode: hand it back to ``solve_monolithic`` to
     #: re-solve this encoding without rebuilding.
     context: SliceContext | None = None
-    #: The MaxSAT objective value of the model (== swap count unweighted);
-    #: ``-1`` when no model was found.  Cube racers compare on this.
-    maxsat_cost: int = -1
-    #: True when an external incumbent bound clipped the solve (see
-    #: :class:`repro.maxsat.solver.MaxSatResult.pruned`).
-    pruned: bool = False
 
 
 class SatMapRouter(BaseRouter):
@@ -137,16 +131,11 @@ class SatMapRouter(BaseRouter):
         Solve through persistent :class:`~repro.sat.session.SatSession` s
         (default).  ``False`` rebuilds the SAT solver from scratch on every
         call, the pre-session behaviour.
-    cube_workers:
-        Opt into cube-and-conquer over the initial-mapping space
-        (:mod:`repro.parallel.cubes`): the monolithic solve (or slice 0 of a
-        sliced solve) is partitioned into disjoint cubes raced across this
-        many worker processes sharing an incumbent bound.  ``None`` (default)
-        keeps the serial path; the swap cost is identical either way.
-    pipeline_slices:
-        Opt into pipeline-parallel slicing (:mod:`repro.parallel.pipeline`):
-        while slice ``k`` solves, slice ``k+1``'s encoding is pre-built in a
-        worker process.  Requires ``slice_size`` and ``incremental``.
+    solver_backend:
+        SAT core (``python``, ``native`` or ``auto``); ``None`` defers to
+        ``$REPRO_SAT_BACKEND``.
+
+    Every solve is one serial MaxSAT search per (slice of a) circuit.
     """
 
     def __init__(
@@ -160,32 +149,11 @@ class SatMapRouter(BaseRouter):
         noise_model: NoiseModel | None = None,
         verify: bool = True,
         incremental: bool = True,
-        cube_workers: int | None = None,
-        pipeline_slices: bool = False,
         solver_backend: str | None = None,
         name: str | None = None,
     ) -> None:
         if slice_size is not None and slice_size <= 0:
             raise ValueError("slice_size must be positive or None")
-        if cube_workers is not None:
-            if (isinstance(cube_workers, bool) or not isinstance(cube_workers, int)
-                    or cube_workers < 1):
-                raise ValueError("cube_workers must be a positive integer or "
-                                 f"None, got {cube_workers!r}")
-            if strategy != "linear":
-                raise ValueError("cube-and-conquer shares incumbent bounds "
-                                 "through the linear search; cube_workers "
-                                 f"requires strategy='linear', not {strategy!r}")
-        if not isinstance(pipeline_slices, bool):
-            raise ValueError("pipeline_slices must be a bool, "
-                             f"got {pipeline_slices!r}")
-        if pipeline_slices and slice_size is None:
-            raise ValueError("pipeline_slices pre-builds slice encodings and "
-                             "therefore requires a slice_size")
-        if pipeline_slices and not incremental:
-            raise ValueError("pipeline_slices pre-builds persistent "
-                             "SliceContexts and therefore requires "
-                             "incremental=True")
         if solver_backend is not None:
             from repro.sat.backends import BACKEND_CHOICES
 
@@ -202,8 +170,6 @@ class SatMapRouter(BaseRouter):
         self.collapse_repeated_pairs = collapse_repeated_pairs
         self.noise_model = noise_model
         self.incremental = incremental
-        self.cube_workers = cube_workers
-        self.pipeline_slices = pipeline_slices
         #: Requested solve core (python | native | auto); ``None`` defers to
         #: ``$REPRO_SAT_BACKEND`` / auto at session-construction time.
         self.solver_backend = solver_backend
@@ -216,10 +182,6 @@ class SatMapRouter(BaseRouter):
         """Map and route ``circuit``; scaffolding lives in ``BaseRouter``."""
         if self.slice_size is None or circuit.num_two_qubit_gates <= self.slice_size:
             remaining = max(0.0, deadline - time.monotonic())
-            if self.cube_workers and circuit.num_two_qubit_gates > 0:
-                from repro.parallel.cubes import solve_cubed
-
-                return solve_cubed(self, circuit, architecture, remaining).result
             return self.solve_monolithic(circuit, architecture, remaining).result
         from repro.core.slicing import route_sliced
 
@@ -258,9 +220,6 @@ class SatMapRouter(BaseRouter):
         leading_slots: int | None = None,
         swaps_per_gate: int | None = None,
         context: SliceContext | None = None,
-        cube: dict[int, int] | None = None,
-        upper_bound: int | None = None,
-        bound_hook=None,
     ) -> MonolithicOutcome:
         """Encode and solve one circuit as a single MaxSAT instance.
 
@@ -272,14 +231,6 @@ class SatMapRouter(BaseRouter):
         on the same circuit) is *reused*: only exclusion clauses the context
         has not seen yet are streamed in, the inherited initial map is pinned
         via assumptions, and the session's learnt clauses carry over.
-
-        ``cube`` pins the placement of some logical qubits via assumption
-        literals -- the encoding (and therefore the optimum over all cubes of
-        a partition) is exactly the serial one, the pins only restrict which
-        initial maps this call may use.  ``upper_bound``/``bound_hook``
-        forward an external incumbent to the linear search (see
-        :meth:`repro.maxsat.solver.MaxSatSolver.solve`); cube racers use them
-        to share the best cost found so far.
         """
         excluded = excluded_final_mappings or []
         timings: dict[str, float] = {}
@@ -319,8 +270,6 @@ class SatMapRouter(BaseRouter):
         if (fixed_initial_mapping
                 and encoding.options.pin_initial_via_assumptions):
             assumptions = encoding.initial_mapping_assumptions(fixed_initial_mapping)
-        if cube:
-            assumptions = (assumptions or []) + encoding.initial_mapping_assumptions(cube)
 
         solver = (context.maxsat if context is not None
                   else MaxSatSolver(self.strategy,
@@ -328,9 +277,7 @@ class SatMapRouter(BaseRouter):
         solve_start = time.monotonic()
         with obs_trace.span("solve", strategy=self.strategy) as solve_span:
             maxsat_result = solver.solve(encoding.builder, time_budget=time_budget,
-                                         assumptions=assumptions,
-                                         upper_bound=upper_bound,
-                                         bound_hook=bound_hook)
+                                         assumptions=assumptions)
             timings["solve"] = time.monotonic() - solve_start
             solve_span.set(status=maxsat_result.status.value,
                            sat_calls=maxsat_result.sat_calls)
@@ -355,8 +302,6 @@ class SatMapRouter(BaseRouter):
             base.solver_stats = context.session.solver_stats()
         if maxsat_result.status is MaxSatStatus.UNSATISFIABLE:
             base.status = RoutingStatus.UNSATISFIABLE
-            return MonolithicOutcome(base, context,
-                                     pruned=maxsat_result.pruned)
         if not maxsat_result.has_model:
             return MonolithicOutcome(base, context)
 
@@ -375,9 +320,7 @@ class SatMapRouter(BaseRouter):
         base.swap_count = solution.swap_count
         if self.noise_model is not None:
             base.objective_value = _routed_fidelity(routed, self.noise_model)
-        return MonolithicOutcome(base, context,
-                                 maxsat_cost=maxsat_result.cost,
-                                 pruned=maxsat_result.pruned)
+        return MonolithicOutcome(base, context)
 
     def _build_context(
         self,

@@ -84,119 +84,76 @@ def route_sliced(circuit: QuantumCircuit, architecture: Architecture,
                          swaps_per_gate=None)
               for index, sub
               in enumerate(circuit.sliced_by_two_qubit_gates(router.slice_size))]
-    pipeline = None
-    if router.pipeline_slices and router.incremental and len(slices) > 1:
-        from repro.parallel.pipeline import SlicePipeline
-
-        pipeline = SlicePipeline(router, architecture)
     stage_timings: dict[str, float] = {}
-    try:
-        backtracks = 0
-        index = 0
-        released = 0  # slices below this index hold no solve context
-        while index < len(slices):
-            remaining = router.time_budget - (time.monotonic() - start)
-            if remaining <= 0:
-                return _timeout_result(router, circuit, slices, backtracks,
-                                       stage_timings)
-            state = slices[index]
-            if pipeline is not None and index + 1 < len(slices):
-                # Overlap: the successor's encoding streams in a worker while
-                # this slice runs its SAT search.
-                pipeline.prefetch(slices[index + 1])
-            if pipeline is not None and index > 0 and state.context is None:
-                state.context = pipeline.take(
-                    state, timeout=min(remaining, SlicePipeline.TAKE_TIMEOUT))
-            fixed = None
-            if index > 0:
-                previous = slices[index - 1].result
-                assert previous is not None and previous.solved
-                fixed = previous.final_mapping
-            cubed = (index == 0 and router.cube_workers
-                     and state.circuit.num_two_qubit_gates > 0)
-            with obs_trace.span("slice", slice=state.index,
-                                backtracks=backtracks) as slice_span:
-                if cubed:
-                    from repro.parallel.cubes import solve_cubed
+    backtracks = 0
+    index = 0
+    released = 0  # slices below this index hold no solve context
+    while index < len(slices):
+        remaining = router.time_budget - (time.monotonic() - start)
+        if remaining <= 0:
+            return _timeout_result(router, circuit, slices, backtracks,
+                                   stage_timings)
+        state = slices[index]
+        fixed = None
+        if index > 0:
+            previous = slices[index - 1].result
+            assert previous is not None and previous.solved
+            fixed = previous.final_mapping
+        with obs_trace.span("slice", slice=state.index,
+                            backtracks=backtracks) as slice_span:
+            outcome = router.solve_monolithic(
+                state.circuit, architecture, remaining,
+                fixed_initial_mapping=fixed,
+                excluded_final_mappings=state.excluded_final_mappings,
+                leading_slots=state.leading_slots if index > 0 else None,
+                swaps_per_gate=state.swaps_per_gate,
+                context=state.context,
+            )
+            slice_span.set(status=outcome.result.status.value,
+                           swaps=outcome.result.swap_count)
+        state.context = outcome.context
+        for stage, seconds in outcome.result.stage_timings.items():
+            stage_timings[stage] = stage_timings.get(stage, 0.0) + seconds
+        if outcome.result.solved:
+            state.result = outcome.result
+            index += 1
+            # Backtracking from ``index`` re-solves at most the
+            # remaining budget's worth of slices below it.
+            floor = index - (router.backtrack_limit - backtracks)
+            while released < floor:
+                slices[released].context = None
+                released += 1
+            continue
+        if outcome.result.status is RoutingStatus.TIMEOUT:
+            return _timeout_result(router, circuit, slices, backtracks,
+                                   stage_timings)
 
-                    outcome = solve_cubed(
-                        router, state.circuit, architecture, remaining,
-                        excluded_final_mappings=state.excluded_final_mappings,
-                        swaps_per_gate=state.swaps_per_gate,
-                    )
-                else:
-                    outcome = router.solve_monolithic(
-                        state.circuit, architecture, remaining,
-                        fixed_initial_mapping=fixed,
-                        excluded_final_mappings=state.excluded_final_mappings,
-                        leading_slots=state.leading_slots if index > 0 else None,
-                        swaps_per_gate=state.swaps_per_gate,
-                        context=state.context,
-                    )
-                slice_span.set(status=outcome.result.status.value,
-                               swaps=outcome.result.swap_count)
-            state.context = outcome.context
-            for stage, seconds in outcome.result.stage_timings.items():
-                stage_timings[stage] = stage_timings.get(stage, 0.0) + seconds
-            if outcome.result.solved:
-                state.result = outcome.result
-                index += 1
-                # Backtracking from ``index`` re-solves at most the
-                # remaining budget's worth of slices below it.
-                floor = index - (router.backtrack_limit - backtracks)
-                while released < floor:
-                    slices[released].context = None
-                    released += 1
-                continue
-            if outcome.result.status is RoutingStatus.TIMEOUT:
-                return _timeout_result(router, circuit, slices, backtracks,
-                                       stage_timings)
-
-            # UNSAT.  Prefer the paper's backtracking; escalate once spent.
-            # Backtracking leaves pre-built successor encodings valid (they
-            # are map-independent); only the escalations below change a
-            # slice's encoding shape and must invalidate its prefetch.
-            if index > 0 and backtracks < router.backtrack_limit:
-                backtracks += 1
-                previous_state = slices[index - 1]
-                assert previous_state.result is not None
-                previous_state.excluded_final_mappings.append(
-                    dict(previous_state.result.final_mapping))
-                previous_state.result = None
-                state.result = None
-                index -= 1
-                continue
-            if index > 0 and state.leading_slots < diameter:
-                state.leading_slots = min(diameter, state.leading_slots * 2)
-                if pipeline is not None:
-                    pipeline.invalidate(state.index)
-                continue
-            current_swaps = state.swaps_per_gate or router.swaps_per_gate
-            if current_swaps < diameter:
-                state.swaps_per_gate = min(diameter, current_swaps + 1)
-                if pipeline is not None:
-                    pipeline.invalidate(state.index)
-                continue
-            result = outcome.result
-            result.backtracks = backtracks
-            result.num_slices = len(slices)
-            result.stage_timings = stage_timings
-            return result
-
-        result = _stitch(router, circuit, architecture, slices, backtracks,
-                         time.monotonic() - start, stage_timings)
-        if pipeline is not None:
-            result.solver_stats = dict(result.solver_stats)
-            result.solver_stats["pipeline_prebuilt"] = pipeline.prebuilt_used
-            result.solver_stats["pipeline_invalidated"] = pipeline.invalidated
-            result.notes += (
-                f"; pipeline: {pipeline.prebuilt_used} slices pre-encoded, "
-                f"{pipeline.invalidated} invalidated"
-                if pipeline.enabled else "; pipeline unavailable (no process pool)")
+        # UNSAT.  Prefer the paper's backtracking; escalate once spent.
+        if index > 0 and backtracks < router.backtrack_limit:
+            backtracks += 1
+            previous_state = slices[index - 1]
+            assert previous_state.result is not None
+            previous_state.excluded_final_mappings.append(
+                dict(previous_state.result.final_mapping))
+            previous_state.result = None
+            state.result = None
+            index -= 1
+            continue
+        if index > 0 and state.leading_slots < diameter:
+            state.leading_slots = min(diameter, state.leading_slots * 2)
+            continue
+        current_swaps = state.swaps_per_gate or router.swaps_per_gate
+        if current_swaps < diameter:
+            state.swaps_per_gate = min(diameter, current_swaps + 1)
+            continue
+        result = outcome.result
+        result.backtracks = backtracks
+        result.num_slices = len(slices)
+        result.stage_timings = stage_timings
         return result
-    finally:
-        if pipeline is not None:
-            pipeline.close()
+
+    return _stitch(router, circuit, architecture, slices, backtracks,
+                   time.monotonic() - start, stage_timings)
 
 
 def _stitch(router: "SatMapRouter", circuit: QuantumCircuit,

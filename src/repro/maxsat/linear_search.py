@@ -48,12 +48,6 @@ class LinearSearchOutcome:
     model: dict[int, bool]
     sat_calls: int
     elapsed: float
-    #: True when the search stopped because an *external* upper bound (from
-    #: ``upper_bound``/``bound_hook``) clipped it: the instance has no model
-    #: cheaper than that bound, but nothing is known about models at or above
-    #: it.  A pruned run with ``found_model=False`` must not be read as
-    #: hard-clause unsatisfiability.
-    pruned: bool = False
 
 
 class LinearSearchSolver:
@@ -100,32 +94,16 @@ class LinearSearchSolver:
         time_budget: float | None = None,
         per_call_conflict_budget: int | None = None,
         assumptions: list[int] | None = None,
-        upper_bound: int | None = None,
-        bound_hook=None,
     ) -> LinearSearchOutcome:
         """Run the search under an optional wall-clock budget (seconds).
 
         ``assumptions`` are base literals assumed in every SAT call of this
         run; session-backed callers use them to pin per-call context (a
         slice's inherited initial map) without touching the formula.
-
-        ``upper_bound`` and ``bound_hook`` connect the run to an *external*
-        incumbent (cube-and-conquer racing): only models strictly cheaper
-        than the bound are searched for.  ``bound_hook`` is called once per
-        SAT iteration with the run's best true cost so far (or ``None``);
-        whatever it returns (or ``None``) is merged with ``upper_bound`` into
-        the effective bound, so a shared incumbent both tightens this run and
-        is tightened by it.  External bounds are expressed in true-cost units
-        and are therefore only *used* when the internal bound structure is
-        exact (not weight-clustered); publication through the hook is always
-        sound because every published cost belongs to a found model.  A run
-        that ends UNSAT under an external bound tighter than its own best is
-        reported with ``pruned=True``.
         """
         start = time.monotonic()
         builder = self.builder
         base_assumptions = list(assumptions or [])
-        external = upper_bound is not None or bound_hook is not None
         if self.session is None:
             # From-scratch semantics: nothing survives between calls.
             self._reset_state()
@@ -138,33 +116,14 @@ class LinearSearchSolver:
                 found_model=False, optimal=False, cost=-1, model={},
                 sat_calls=0, elapsed=time.monotonic() - start)
 
-        # With an external bound the very first SAT call can already carry
-        # bound assumptions -- an incumbent-dominated cube is then refuted in
-        # one (usually cheap) UNSAT call without ever enumerating a model.
-        first_assumptions = list(base_assumptions)
-        first_bounded = False
-        if external and builder.soft:
-            self._prepare_bound(sat)
-            target = self._external_bound(upper_bound, bound_hook, None)
-            if target is not None:
-                if target <= 0:
-                    # The incumbent is already perfect; nothing to search for.
-                    return LinearSearchOutcome(
-                        found_model=False, optimal=True, cost=-1, model={},
-                        sat_calls=0, elapsed=time.monotonic() - start,
-                        pruned=True)
-                first_assumptions += self._bound_assumptions(target)
-                first_bounded = True
-
         remaining = self._remaining(start, time_budget)
-        result = sat.solve(assumptions=first_assumptions, time_budget=remaining,
+        result = sat.solve(assumptions=base_assumptions, time_budget=remaining,
                            conflict_budget=per_call_conflict_budget)
         sat_calls = 1
         if result.status is not SolverStatus.SAT:
             # UNSAT here means the hard clauses (under the base assumptions)
-            # have no model, which is a definitive answer -- unless the call
-            # was bound-clipped, in which case it only proves no model beats
-            # the incumbent.  UNKNOWN means the budget ran out.
+            # have no model, which is a definitive answer.  UNKNOWN means the
+            # budget ran out.
             return LinearSearchOutcome(
                 found_model=False,
                 optimal=result.status is SolverStatus.UNSAT,
@@ -172,14 +131,11 @@ class LinearSearchSolver:
                 model={},
                 sat_calls=sat_calls,
                 elapsed=time.monotonic() - start,
-                pruned=(result.status is SolverStatus.UNSAT and first_bounded),
             )
 
         best_model = dict(result.model)
         best_cost = builder.cost_of_model(best_model)
         if best_cost == 0 or not builder.soft:
-            if bound_hook is not None:
-                bound_hook(best_cost)
             return LinearSearchOutcome(True, True, best_cost, best_model, sat_calls,
                                        time.monotonic() - start)
 
@@ -187,8 +143,6 @@ class LinearSearchSolver:
         # is already gone, settle for the first model (anytime behaviour).
         remaining = self._remaining(start, time_budget)
         if remaining is not None and remaining <= 0:
-            if bound_hook is not None:
-                bound_hook(best_cost)
             return LinearSearchOutcome(True, False, best_cost, best_model, sat_calls,
                                        time.monotonic() - start)
 
@@ -196,29 +150,16 @@ class LinearSearchSolver:
 
         best_bound_cost = self._bound_cost(best_model, builder, self._bound_weights)
         optimal = False
-        pruned = False
         while True:
             if best_bound_cost == 0:
                 # All soft obligations the bound can see are satisfied.
                 optimal = best_cost == 0
                 break
             # Tighten: total selector weight must be strictly below the bound
-            # cost of the best model so far -- or below the shared external
-            # incumbent when that is tighter.  The bound is an assumption, so
+            # cost of the best model so far.  The bound is an assumption, so
             # a later run on the same live solver starts unbounded again; the
             # formula itself no longer grows inside this loop.
-            target = best_bound_cost
-            if external:
-                shared = self._external_bound(upper_bound, bound_hook, best_cost)
-                if shared is not None and shared < target:
-                    target = shared
-                if target <= 0:
-                    # The shared incumbent is already perfect; this run's
-                    # best model cannot beat it.
-                    optimal = True
-                    pruned = True
-                    break
-            bound_assumptions = self._bound_assumptions(target)
+            bound_assumptions = self._bound_assumptions(best_bound_cost)
 
             remaining = self._remaining(start, time_budget)
             if remaining is not None and remaining <= 0:
@@ -233,7 +174,7 @@ class LinearSearchSolver:
                 if cost < best_cost:
                     best_cost = cost
                     best_model = dict(result.model)
-                if bound_cost >= target:
+                if bound_cost >= best_bound_cost:
                     # The bound forces strictly decreasing bound cost; if it
                     # did not decrease something is inconsistent, so stop
                     # rather than loop.
@@ -244,15 +185,10 @@ class LinearSearchSolver:
                     break
             elif result.status is SolverStatus.UNSAT:
                 optimal = not self._approximate
-                # UNSAT under a bound tighter than our own proves only that
-                # nothing beats the incumbent here, not local optimality.
-                pruned = optimal and target < best_bound_cost
                 break
             else:  # UNKNOWN: budget exhausted
                 break
 
-        if bound_hook is not None:
-            bound_hook(best_cost)
         return LinearSearchOutcome(
             found_model=True,
             optimal=optimal,
@@ -260,7 +196,6 @@ class LinearSearchSolver:
             model=best_model,
             sat_calls=sat_calls,
             elapsed=time.monotonic() - start,
-            pruned=pruned,
         )
 
     # ------------------------------------------------------------ formula IO
@@ -383,22 +318,6 @@ class LinearSearchSolver:
             self._totalizer = Totalizer(builder,
                                         [sel for sel, _ in weighted_selectors])
         self._sync_hard_clauses(sat, builder)
-
-    def _external_bound(self, upper_bound: int | None, bound_hook,
-                        best_cost: int | None) -> int | None:
-        """The effective external bound, or ``None`` when unusable.
-
-        Publishing ``best_cost`` through the hook is always sound (the cost
-        belongs to an actual model of this instance), but the returned shared
-        bound is only *used* when the internal bound structure is exact:
-        external bounds are true costs, and a weight-clustered bound counts
-        in different units.
-        """
-        shared = bound_hook(best_cost) if bound_hook is not None else None
-        if self._approximate:
-            return None
-        candidates = [b for b in (upper_bound, shared) if b is not None]
-        return min(candidates) if candidates else None
 
     def _bound_assumptions(self, best_bound_cost: int) -> list[int]:
         """Assumption literals asserting "bound cost strictly below the best"."""

@@ -43,11 +43,6 @@ class MaxSatResult:
     model: dict[int, bool] = field(default_factory=dict)
     sat_calls: int = 0
     solve_time: float = 0.0
-    #: True when an external incumbent bound clipped the search (the linear
-    #: strategy's cube-and-conquer hook): an UNSATISFIABLE status then means
-    #: "no model cheaper than the bound", not hard-clause unsatisfiability,
-    #: and an OPTIMAL status means "optimal under the bound".
-    pruned: bool = False
 
     @property
     def has_model(self) -> bool:
@@ -94,24 +89,13 @@ class MaxSatSolver:
         self._bound_builder: WcnfBuilder | None = None
 
     def solve(self, builder: WcnfBuilder, time_budget: float | None = None,
-              assumptions: list[int] | None = None,
-              upper_bound: int | None = None,
-              bound_hook=None) -> MaxSatResult:
+              assumptions: list[int] | None = None) -> MaxSatResult:
         """Solve ``builder`` under an optional wall-clock budget (seconds).
 
         ``assumptions`` are base literals assumed in every underlying SAT
         call; incremental callers use them to pin per-call context (e.g. a
         slice's inherited initial map) without mutating the formula.
-
-        ``upper_bound``/``bound_hook`` connect the solve to an external
-        incumbent (see :meth:`LinearSearchSolver.solve`); they are only
-        supported by the ``"linear"`` strategy.
         """
-        if ((upper_bound is not None or bound_hook is not None)
-                and self.strategy != "linear"):
-            raise ValueError(
-                "external bounds (upper_bound/bound_hook) require the "
-                f"'linear' strategy, not {self.strategy!r}")
         if self.session is not None:
             if self._bound_builder is None:
                 self._bound_builder = builder
@@ -152,18 +136,14 @@ class MaxSatSolver:
                                 outcome.sat_calls, outcome.elapsed)
 
         outcome = self._linear_solver(builder).solve(time_budget=time_budget,
-                                                     assumptions=assumptions,
-                                                     upper_bound=upper_bound,
-                                                     bound_hook=bound_hook)
+                                                     assumptions=assumptions)
         if outcome.found_model:
             status = MaxSatStatus.OPTIMAL if outcome.optimal else MaxSatStatus.SATISFIABLE
             return MaxSatResult(status, outcome.cost, outcome.model,
-                                outcome.sat_calls, outcome.elapsed,
-                                pruned=outcome.pruned)
+                                outcome.sat_calls, outcome.elapsed)
         if outcome.optimal:
             return MaxSatResult(MaxSatStatus.UNSATISFIABLE, -1, {},
-                                outcome.sat_calls, outcome.elapsed,
-                                pruned=outcome.pruned)
+                                outcome.sat_calls, outcome.elapsed)
         return MaxSatResult(MaxSatStatus.UNKNOWN, -1, {},
                             outcome.sat_calls, outcome.elapsed)
 

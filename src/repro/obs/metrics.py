@@ -417,7 +417,7 @@ class MetricsRegistry:
 # ----------------------------------------------------------- default registry
 
 #: Process-wide registry for instrumentation that has no obvious owner (the
-#: intra-job parallel schemes increment their cube/pipeline counters here).
+#: per-call SAT solve histogram of :class:`repro.sat.session.SatSession`).
 #: Servers keep constructing their own registries; this one exists so library
 #: code can count without threading a registry through every call site.
 _DEFAULT_REGISTRY: MetricsRegistry | None = None

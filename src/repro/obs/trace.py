@@ -475,7 +475,6 @@ def validate_trace(tree: "Span | dict", epsilon: float = 0.05) -> list[str]:
 
 #: Attribute keys surfaced inline by the renderer, in display order.
 _RENDER_ATTRS = ("status", "router", "strategy", "slice", "iteration",
-                 "cube_id", "cube", "cubes", "pruned", "workers", "mode",
                  "swaps", "conflicts", "propagations", "decisions",
                  "restarts", "learnt_retained", "clauses_streamed",
                  "cache_hit", "dedup", "solved")

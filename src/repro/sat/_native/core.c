@@ -1307,8 +1307,8 @@ static PyObject *Core_counters(Core *s, PyObject *noargs)
 }
 
 /* Flat export of the formula: every live problem clause then every root
- * (level-0) trail literal as a unit clause, 0-terminated.  Used to pickle
- * a solver across process boundaries by replay; learnt state is dropped. */
+ * (level-0) trail literal as a unit clause, 0-terminated; learnt clauses
+ * are left out.  Tests compare it against the python core's export. */
 static PyObject *Core_export_clauses(Core *s, PyObject *noargs)
 {
     veci flat;

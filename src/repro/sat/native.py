@@ -21,21 +21,11 @@ wrapper records every ingested clause, evaluates each one under every SAT
 model, and replays UNSAT verdicts through a fresh pure-Python solver.  A
 disagreement raises :class:`CrossCheckError` — loudly, since it means one
 of the cores is wrong.
-
-Pickling (needed because pipelined slicing ships prebuilt
-:class:`~repro.core.satmap.SliceContext` objects across process
-boundaries) round-trips the *formula*, not the solver state: the C core
-exports its live problem clauses and root-level units, and unpickling
-replays them into a fresh core.  Learnt clauses and activity are dropped,
-which is fine for the prebuild path (contexts cross the boundary unsolved);
-if the extension is missing on the receiving side the replay lands in a
-pure-Python solver instead.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
 
 from repro.obs import trace as obs_trace
 from repro.sat import backends
@@ -51,31 +41,6 @@ from repro.sat.solver import (
 
 class CrossCheckError(RuntimeError):
     """The native core and the pure-Python core disagreed on an answer."""
-
-
-def _rebuild_solver(kwargs: dict, flat_clauses: list[int], num_vars: int,
-                    stats: dict):
-    """Unpickle helper: replay an exported formula into a fresh solver.
-
-    Falls back to the pure-Python solver when the extension is unavailable
-    in the unpickling process, so a pickled context never becomes unusable.
-    """
-    if load_core() is not None:
-        solver = NativeSatSolver(**kwargs)
-    else:  # pragma: no cover - needs an env without the extension
-        from repro.sat.solver import SatSolver
-
-        solver = SatSolver(
-            decay=kwargs.get("decay", 0.95),
-            restart_base=kwargs.get("restart_base", 100),
-            max_learnt_ratio=kwargs.get("max_learnt_ratio", 0.4),
-        )
-    solver.add_flat(array("i", flat_clauses))
-    solver.ensure_vars(num_vars)
-    for key, value in stats.items():
-        if key != "backend":
-            setattr(solver.stats, key, value)
-    return solver
 
 
 class NativeSatSolver:
@@ -96,11 +61,6 @@ class NativeSatSolver:
             )
         self._core = core_module.Core(decay=decay,
                                       max_learnt_ratio=max_learnt_ratio)
-        self._kwargs = {
-            "decay": decay,
-            "restart_base": restart_base,
-            "max_learnt_ratio": max_learnt_ratio,
-        }
         self.restart_base = restart_base
         self.max_learnt_ratio = max_learnt_ratio
         self.stats = SolverStatistics(backend="native")
@@ -296,19 +256,6 @@ class NativeSatSolver:
                 )
             if not assumptions and replay.is_unsat:
                 self._unsat_crosschecked = True
-
-    # ------------------------------------------------------------- pickling
-
-    def __reduce__(self):
-        return (
-            _rebuild_solver,
-            (
-                dict(self._kwargs),
-                self.export_clauses(),
-                self._core.num_vars,
-                self.stats.as_dict(),
-            ),
-        )
 
 
 __all__ = ["NativeSatSolver", "CrossCheckError"]

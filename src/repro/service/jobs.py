@@ -21,6 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from repro.api.registry import get_router
 from repro.api.spec import RouterSpec
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qasm import circuit_to_qasm, parse_qasm
@@ -89,12 +90,15 @@ class RoutingJob:
         misconfigured jobs at submission and *canonicalises* option types
         (``"25"`` -> ``25``, ``1`` -> ``1.0`` for float options) so the
         content hash does not depend on which construction path or spelling
-        produced the job.
+        produced the job.  The router is then built once and discarded, so
+        its constructor's range checks (``slice_size=-1``) also fail here
+        rather than inside a worker.
         """
         spec = RouterSpec.parse(router)
         if options:
             spec = spec.with_options(**options)
         spec = spec.validated()
+        get_router(spec)
         return cls(
             qasm=circuit_to_qasm(circuit),
             arch_num_qubits=architecture.num_qubits,

@@ -94,9 +94,15 @@ class TestValidation:
         assert validated.options["time_budget"] == 5.0
         assert isinstance(validated.options["time_budget"], float)
 
-    def test_unknown_option_is_rejected(self):
+    @pytest.mark.parametrize("text", [
+        "satmap:slize_size=25",
+        # Removed options must fail loudly, never be silently ignored.
+        "satmap:cube_workers=2",
+        "satmap:pipeline_slices=true",
+    ])
+    def test_unknown_option_is_rejected(self, text):
         with pytest.raises(SpecError):
-            RouterSpec.from_string("satmap:slize_size=25").validated()
+            RouterSpec.from_string(text).validated()
 
     def test_ill_typed_option_is_rejected(self):
         with pytest.raises(SpecError):

@@ -50,8 +50,6 @@ class ScriptedRouter:
         self.time_budget = 60.0
         self.backtrack_limit = backtrack_limit
         self.incremental = False
-        self.pipeline_slices = False
-        self.cube_workers = None
         self.noise_model = None
         self.name = "scripted"
         self.unsat_while = unsat_while

@@ -138,6 +138,13 @@ class TestBadRequests:
             client.submit(circuit, architecture="atlantis", router="sabre")
         assert excinfo.value.status == 400
 
+    def test_out_of_range_router_option_400(self, client, circuit):
+        with pytest.raises(ServerError) as excinfo:
+            client.submit(circuit, architecture="tokyo8",
+                          router="satmap:slice_size=-1")
+        assert excinfo.value.status == 400
+        assert "slice_size" in str(excinfo.value)
+
     def test_malformed_request_line_gets_http_400(self, gateway):
         import socket
 

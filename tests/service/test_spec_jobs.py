@@ -75,6 +75,12 @@ class TestJobsFromSpecs:
         with pytest.raises(Exception):
             make_job(router="sabre:warp_factor=9")
 
+    def test_from_circuit_rejects_out_of_range_options_at_submission(self):
+        import pytest
+
+        with pytest.raises(ValueError, match="slice_size"):
+            make_job(router="satmap:slice_size=-1")
+
 
 class TestBudgetKeying:
     def test_spec_budget_wins_in_the_cache_key(self):
