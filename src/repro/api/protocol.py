@@ -11,7 +11,9 @@ works on anything with the right shape, inheritance or not.
 algorithm: wall-clock deadlines, timeout translation, error capture (with the
 traceback tail recorded in ``RoutingResult.notes`` so failures name their
 site), result stamping, and post-hoc verification.  Subclasses implement only
-:meth:`BaseRouter._route`.
+:meth:`BaseRouter._route`.  One error is never captured: a
+:class:`~repro.sat.native.CrossCheckError` (cross-check mode caught the
+native core disagreeing with the reference core) propagates to the caller.
 
 This module was lifted out of ``repro.baselines.base`` so the SATMAP family
 and the baselines share one scaffolding; ``repro.baselines.base.Router``
@@ -30,6 +32,7 @@ from repro.core.result import RoutingResult, RoutingStatus
 from repro.core.verifier import verify_routing
 from repro.hardware.architecture import Architecture
 from repro.obs import trace as obs_trace
+from repro.sat.native import CrossCheckError
 
 
 class RoutingTimeout(Exception):
@@ -68,8 +71,9 @@ class BaseRouter(abc.ABC):
     """Deadline, error-capture, stamping, and verification scaffolding.
 
     Subclasses implement :meth:`_route`; everything else -- translating
-    :class:`RoutingTimeout` into a TIMEOUT result, capturing crashes as ERROR
-    results with the failure site in ``notes``, stamping the router/circuit
+    :class:`RoutingTimeout` into a TIMEOUT result, capturing crashes (other
+    than a cross-check disagreement, which propagates) as ERROR results
+    with the failure site in ``notes``, stamping the router/circuit
     names and wall-clock time, and running the independent verifier on every
     produced solution -- is shared here.
     """
@@ -96,6 +100,10 @@ class BaseRouter(abc.ABC):
                 circuit_name=circuit.name,
                 solve_time=time.monotonic() - start,
             )
+        except CrossCheckError:
+            # Two solve cores disagreeing is a bug in one of them, not a
+            # routing failure: it must stay loud.
+            raise
         except Exception as error:
             return RoutingResult(
                 status=RoutingStatus.ERROR,

@@ -1,7 +1,7 @@
 """Turning a MaxSAT model back into maps, SWAPs, and a routed circuit.
 
-Given a model of the Fig. 5 constraints, this module reads off the map
-sequence and the selected SWAP per slot, completes the initial map over unused
+Given a model of the Fig. 5 constraints, this module reads off the initial
+and final maps and the selected SWAP per slot, completes the maps over unused
 logical/physical qubits, and rewrites the original circuit into a *physical*
 circuit: every gate operates on physical qubit indices and explicit ``swap``
 gates are inserted where the model placed them.
@@ -9,19 +9,20 @@ gates are inserted where the model placed them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.core.encoder import QmrEncoding
-from repro.core.variables import NOOP
 
 
 @dataclass
 class ExtractedSolution:
     """Model contents in routing terms."""
 
-    #: Map at each real step: step index -> {logical: physical}.
+    #: The maps extraction reads, step index -> {logical: physical}: the
+    #: initial (root) step and the final step, as the model placed them.
     step_mappings: dict[int, dict[int, int]]
     #: Selected swap per slot, in slot order: (step, slot, edge-or-None).
     slot_swaps: list[tuple[int, int, tuple[int, int] | None]]
@@ -34,48 +35,39 @@ class ExtractedSolution:
         return sum(1 for _, _, edge in self.slot_swaps if edge is not None)
 
 
-def extract_solution(encoding: QmrEncoding, model: dict[int, bool]) -> ExtractedSolution:
-    """Read maps and SWAP selections out of a satisfying model."""
-    registry = encoding.registry
-    step_mappings: dict[int, dict[int, int]] = {}
-    for (logical, physical, step), variable in registry.map_vars.items():
-        if model.get(variable, False):
-            step_mappings.setdefault(step, {})[logical] = physical
+def extract_solution(encoding: QmrEncoding, model: Mapping[int, bool]) -> ExtractedSolution:
+    """Read the initial and final maps and every slot's SWAP out of a model.
 
+    Only the root and final map rows and the slots' choice variables are
+    read, so extraction costs the same whatever the number of steps.  A
+    slot with no edge selected counts as a no-op; should the no-op be unset
+    too, the model has a hole that the verifier catches through the
+    resulting invalid gate.
+    """
+    layout = encoding.registry
+    get = model.get
     slot_swaps: list[tuple[int, int, tuple[int, int] | None]] = []
+    edges = encoding.architecture.edges
     for step, slot in encoding.swap_slots:
-        chosen: tuple[int, int] | None = None
-        for edge in encoding.architecture.edges:
-            variable = registry.swap_vars.get((edge, step, slot))
-            if variable is not None and model.get(variable, False):
-                chosen = edge
-                break
-        if chosen is None:
-            noop_variable = registry.swap_vars.get((NOOP, step, slot))
-            if noop_variable is not None and not model.get(noop_variable, False):
-                # Neither an edge nor the no-op is set; treat as no-op but this
-                # indicates a hole in the model and the verifier will catch any
-                # resulting invalid gate.
-                chosen = None
+        base = layout.slot_base(step, slot)
+        chosen = next((edge for offset, edge in enumerate(edges, 1)
+                       if get(base + offset, False)), None)
         slot_swaps.append((step, slot, chosen))
 
-    # With a leading SWAP slot, the map before any gate lives at virtual step -1.
-    initial_step = -1 if -1 in step_mappings else 0
-    initial = dict(step_mappings.get(initial_step, {}))
-    initial = complete_mapping(initial, encoding.num_logical,
-                               encoding.architecture.num_qubits)
-    # The final real step is the trailing step (== len(steps)) when a cyclic /
-    # trailing slot was encoded, otherwise the last gate step.  Pseudo-steps
-    # used for multi-SWAP slots have indices >= 10_000 and are ignored here.
-    if encoding.steps:
-        last_gate_step = len(encoding.steps) - 1
-        trailing = len(encoding.steps)
-        final_step = trailing if trailing in step_mappings else last_gate_step
-    else:
-        final_step = 0
-    final = dict(step_mappings.get(final_step, {}))
-    final = complete_mapping(final, encoding.num_logical,
-                             encoding.architecture.num_qubits)
+    num_physical = encoding.architecture.num_qubits
+    step_mappings: dict[int, dict[int, int]] = {}
+    for step in (encoding.root_step, encoding.final_step):
+        placed: dict[int, int] = {}
+        for logical in range(encoding.num_logical):
+            start = layout.map_var(logical, 0, step)
+            for physical in range(num_physical):
+                if get(start + physical, False):
+                    placed[logical] = physical
+        step_mappings[step] = placed
+    initial = complete_mapping(step_mappings[encoding.root_step],
+                               encoding.num_logical, num_physical)
+    final = complete_mapping(step_mappings[encoding.final_step],
+                             encoding.num_logical, num_physical)
     return ExtractedSolution(step_mappings, slot_swaps, initial, final)
 
 

@@ -25,6 +25,7 @@ that routing quality is back in heuristic territory.  The ablation benchmark
 from __future__ import annotations
 
 import time
+from array import array
 
 from repro.api.protocol import BaseRouter
 from repro.baselines.base import interaction_counts
@@ -32,6 +33,7 @@ from repro.baselines.sabre import SabreRouter
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
+from repro.maxsat.cardinality import pairwise_amo_clauses
 from repro.maxsat.solver import MaxSatSolver
 from repro.maxsat.wcnf import WcnfBuilder
 from repro.sat.session import SatSession
@@ -92,45 +94,13 @@ class HybridSatMapRouter(BaseRouter):
         (possible only for extremely tight budgets, since the hard constraints
         are trivially satisfiable).
         """
-        # The placement instance streams straight into a live session while it
-        # is built, so the MaxSAT call below starts from a loaded solver
-        # instead of replaying the clause list.
+        builder, map_var = placement_instance(circuit, architecture)
+        # The whole hard part reaches the live session in one flat call, so
+        # the MaxSAT call below starts from a loaded solver.
         session = SatSession(backend=self.solver_backend)
-        builder = WcnfBuilder()
         builder.attach_sink(session)
         num_logical = circuit.num_qubits
         num_physical = architecture.num_qubits
-        map_var = {(logical, physical): builder.new_var()
-                   for logical in range(num_logical)
-                   for physical in range(num_physical)}
-
-        # Hard A: every logical qubit sits on exactly one physical qubit and
-        # no two logical qubits share one (the paper's injectivity/totality).
-        for logical in range(num_logical):
-            builder.add_hard([map_var[(logical, physical)]
-                              for physical in range(num_physical)])
-            for first in range(num_physical):
-                for second in range(first + 1, num_physical):
-                    builder.add_hard([-map_var[(logical, first)],
-                                      -map_var[(logical, second)]])
-        for physical in range(num_physical):
-            for first in range(num_logical):
-                for second in range(first + 1, num_logical):
-                    builder.add_hard([-map_var[(first, physical)],
-                                      -map_var[(second, physical)]])
-
-        # Soft: an interacting pair placed on an edge satisfies its clause.
-        counts = interaction_counts(circuit)
-        for (first, second), count in sorted(counts.items()):
-            adjacency_literals = []
-            for (physical_a, physical_b) in architecture.edges:
-                for (pa, pb) in ((physical_a, physical_b), (physical_b, physical_a)):
-                    placed = builder.new_var()
-                    builder.add_hard([-placed, map_var[(first, pa)]])
-                    builder.add_hard([-placed, map_var[(second, pb)]])
-                    adjacency_literals.append(placed)
-            builder.add_soft(adjacency_literals, weight=count)
-
         result = MaxSatSolver(self.strategy, session=session).solve(
             builder, time_budget=time_budget)
         stats = {
@@ -157,6 +127,49 @@ class HybridSatMapRouter(BaseRouter):
                 mapping[logical] = next(p for p in range(num_physical) if p not in used)
                 used.add(mapping[logical])
         return mapping, stats
+
+
+def placement_instance(circuit: QuantumCircuit, architecture: Architecture
+                       ) -> tuple[WcnfBuilder, dict[tuple[int, int], int]]:
+    """The weighted placement MaxSAT instance and its ``map`` variables.
+
+    Hard clauses are the paper's Hard A over one map step, written with
+    every pair's placement clauses into one flat buffer; each interacting
+    logical pair contributes a soft clause, weighted by its interaction
+    count, that holds exactly when the pair lands on an edge.
+    """
+    builder = WcnfBuilder()
+    num_logical = circuit.num_qubits
+    num_physical = architecture.num_qubits
+    map_var = {(logical, physical): builder.new_var()
+               for logical in range(num_logical)
+               for physical in range(num_physical)}
+
+    # Hard A: every logical qubit sits on exactly one physical qubit and
+    # no two logical qubits share one (the paper's injectivity/totality).
+    out: list[int] = []
+    for logical in range(num_logical):
+        row = [map_var[(logical, physical)] for physical in range(num_physical)]
+        out += row
+        out.append(0)
+        pairwise_amo_clauses(out, row)
+    for physical in range(num_physical):
+        pairwise_amo_clauses(out, [map_var[(logical, physical)]
+                                   for logical in range(num_logical)])
+
+    # Soft: an interacting pair placed on an edge satisfies its clause.
+    counts = interaction_counts(circuit)
+    for (first, second), count in sorted(counts.items()):
+        adjacency_literals = []
+        for (physical_a, physical_b) in architecture.edges:
+            for (pa, pb) in ((physical_a, physical_b), (physical_b, physical_a)):
+                placed = builder.new_var()
+                out += (-placed, map_var[(first, pa)], 0,
+                        -placed, map_var[(second, pb)], 0)
+                adjacency_literals.append(placed)
+        builder.add_soft(adjacency_literals, weight=count)
+    builder.add_flat(array("i", out))
+    return builder, map_var
 
 
 def placement_adjacency_score(circuit: QuantumCircuit, architecture: Architecture,

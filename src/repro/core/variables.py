@@ -8,13 +8,19 @@ The encoding of Fig. 5 uses two families of variables:
   physical qubits ``p`` and ``p'``, with the synthetic "no-op edge"
   ``(p, p) = NOOP`` meaning no SWAP is performed in that slot.
 
-:class:`VariableRegistry` hands out SAT variable indices for these on demand
-and supports reverse lookup, which the extraction step uses to read a model
-back into maps and SWAP lists.
+:class:`VariableRegistry` hands out SAT variable indices for these on
+demand.  Once an encoding shape is fully allocated,
+:meth:`VariableRegistry.freeze` condenses it into a :class:`VariableLayout`:
+the encoder allocates every map row as consecutive variables and every SWAP
+slot's choices (no-op first, then each edge) as consecutive variables, so
+the whole numbering is one table of row starts per step plus one base
+variable per slot.  Encodings and model extraction read that layout.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 
 from repro.maxsat.wcnf import WcnfBuilder
@@ -30,8 +36,6 @@ class VariableRegistry:
     builder: WcnfBuilder
     map_vars: dict[tuple[int, int, int], int] = field(default_factory=dict)
     swap_vars: dict[tuple[tuple[int, int], int, int], int] = field(default_factory=dict)
-    _reverse_map: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-    _reverse_swap: dict[int, tuple[tuple[int, int], int, int]] = field(default_factory=dict)
     #: ``(logical, step) -> [map(logical, p, step) for every p]``, cached.
     _rows: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
 
@@ -39,9 +43,7 @@ class VariableRegistry:
         """Variable for ``map(logical, physical, step)``, creating it if needed."""
         key = (logical, physical, step)
         if key not in self.map_vars:
-            variable = self.builder.new_var()
-            self.map_vars[key] = variable
-            self._reverse_map[variable] = key
+            self.map_vars[key] = self.builder.new_var()
         return self.map_vars[key]
 
     def map_row(self, logical: int, step: int, num_physical: int) -> list[int]:
@@ -64,18 +66,8 @@ class VariableRegistry:
             edge = (min(edge), max(edge))
         key = (edge, step, slot)
         if key not in self.swap_vars:
-            variable = self.builder.new_var()
-            self.swap_vars[key] = variable
-            self._reverse_swap[variable] = key
+            self.swap_vars[key] = self.builder.new_var()
         return self.swap_vars[key]
-
-    def lookup_map(self, variable: int) -> tuple[int, int, int] | None:
-        """Reverse lookup: which (logical, physical, step) a variable encodes."""
-        return self._reverse_map.get(variable)
-
-    def lookup_swap(self, variable: int) -> tuple[tuple[int, int], int, int] | None:
-        """Reverse lookup: which (edge, step, slot) a variable encodes."""
-        return self._reverse_swap.get(variable)
 
     @property
     def num_map_vars(self) -> int:
@@ -84,3 +76,78 @@ class VariableRegistry:
     @property
     def num_swap_vars(self) -> int:
         return len(self.swap_vars)
+
+    def freeze(self, num_logical: int, num_physical: int,
+               edges: tuple[tuple[int, int], ...],
+               slots: list[tuple[int, int]]) -> "VariableLayout":
+        """The compact layout of the rows and ``slots`` allocated so far.
+
+        Every row must have been created by :meth:`map_row` over
+        ``num_physical`` qubits, and every slot's variables in the order
+        no-op, then ``edges``; a numbering that is not contiguous that way
+        raises ``ValueError``.
+        """
+        starts: dict[int, array] = {}
+        for (logical, step), row in self._rows.items():
+            if row != list(range(row[0], row[0] + num_physical)):
+                raise ValueError(f"map row ({logical}, {step}) is not contiguous")
+            starts.setdefault(step, array("i", bytes(4 * num_logical)))[logical] = row[0]
+        bases = {}
+        for step, slot in slots:
+            base = self.swap_vars[(NOOP, step, slot)]
+            if any(self.swap_vars.get((edge, step, slot)) != base + offset
+                   for offset, edge in enumerate(edges, 1)):
+                raise ValueError(f"slot ({step}, {slot}) is not contiguous")
+            bases[(step, slot)] = base
+        return VariableLayout(num_physical, edges, starts, bases)
+
+
+class VariableLayout:
+    """Read-only numbering of one encoding shape's ``map`` and ``swap`` variables.
+
+    ``map(logical, physical, step)`` is ``row start + physical`` and
+    ``swap(edge, step, slot)`` is the slot's no-op variable plus the edge's
+    1-based position in the architecture's edge list.  Lookups of variables
+    the shape never allocated raise ``KeyError``.  A layout is shared by
+    every encoding replayed from the same template, so it is never mutated.
+    """
+
+    __slots__ = ("num_physical", "_row_starts", "_slot_bases", "_edge_offsets")
+
+    def __init__(self, num_physical: int, edges: tuple[tuple[int, int], ...],
+                 row_starts: dict[int, array],
+                 slot_bases: dict[tuple[int, int], int]) -> None:
+        self.num_physical = num_physical
+        self._row_starts = row_starts
+        self._slot_bases = slot_bases
+        self._edge_offsets = {edge: offset
+                              for offset, edge in enumerate(edges, 1)}
+
+    def row_starts(self, step: int) -> array:
+        """First variable of each logical qubit's ``map`` row at ``step``."""
+        return self._row_starts[step]
+
+    def map_var(self, logical: int, physical: int, step: int) -> int:
+        """The variable of ``map(logical, physical, step)``."""
+        starts = self._row_starts[step]
+        if not (0 <= logical < len(starts) and 0 <= physical < self.num_physical):
+            raise KeyError((logical, physical, step))
+        return starts[logical] + physical
+
+    def slot_base(self, step: int, slot: int = 0) -> int:
+        """The no-op variable of a slot; its edge variables follow it."""
+        return self._slot_bases[(step, slot)]
+
+    def swap_var(self, edge: tuple[int, int], step: int, slot: int = 0) -> int:
+        """The variable of ``swap(edge, step, slot)``; ``edge`` may be :data:`NOOP`."""
+        base = self._slot_bases[(step, slot)]
+        if edge == NOOP:
+            return base
+        return base + self._edge_offsets[(min(edge), max(edge))]
+
+    @property
+    def nbytes(self) -> int:
+        """Approximate memory held by the layout's own tables."""
+        return (sys.getsizeof(self._row_starts) + sys.getsizeof(self._slot_bases)
+                + sys.getsizeof(self._edge_offsets)
+                + sum(sys.getsizeof(starts) for starts in self._row_starts.values()))

@@ -8,9 +8,12 @@ Two encoders are provided:
   each input literal carries a positive integer weight and the outputs encode
   "the total weight of true inputs is at least w".
 
-Both are built once and strengthened monotonically by asserting unit clauses
-on output literals, which is how the linear-search MaxSAT strategy tightens
-its bound between SAT calls.
+Both are built once, their clauses written into one flat buffer and added
+with a single :meth:`~repro.maxsat.wcnf.WcnfBuilder.add_flat` (so a live
+session ingests the whole structure in one call), and strengthened
+monotonically by asserting unit clauses or assumptions on output literals,
+which is how the linear-search MaxSAT strategy tightens its bound between
+SAT calls.
 
 The paper's "only one swap" constraint (Hard C) also uses a standard
 at-most-one encoding, provided here as :func:`at_most_one_pairwise`,
@@ -104,34 +107,35 @@ class Totalizer:
         if not inputs:
             self.outputs: list[int] = []
             return
-        self.outputs = self._build(list(inputs))
+        out: list[int] = []
+        self.outputs = self._build(list(inputs), out)
+        builder.add_flat(array("i", out))
 
-    def _build(self, literals: list[int]) -> list[int]:
+    def _build(self, literals: list[int], out: list[int]) -> list[int]:
         if len(literals) == 1:
             return [literals[0]]
         mid = len(literals) // 2
-        left = self._build(literals[:mid])
-        right = self._build(literals[mid:])
-        return self._merge(left, right)
+        left = self._build(literals[:mid], out)
+        right = self._build(literals[mid:], out)
+        return self._merge(left, right, out)
 
-    def _merge(self, left: list[int], right: list[int]) -> list[int]:
-        builder = self.builder
+    def _merge(self, left: list[int], right: list[int], out: list[int]) -> list[int]:
+        new_var = self.builder.new_var
         total = len(left) + len(right)
-        outputs = [builder.new_var() for _ in range(total)]
+        outputs = [new_var() for _ in range(total)]
         # sum(left) >= a and sum(right) >= b  implies  sum >= a + b
         for a in range(len(left) + 1):
             for b in range(len(right) + 1):
                 if a + b == 0:
                     continue
-                antecedent = []
                 if a > 0:
-                    antecedent.append(-left[a - 1])
+                    out.append(-left[a - 1])
                 if b > 0:
-                    antecedent.append(-right[b - 1])
-                builder.add_hard(antecedent + [outputs[a + b - 1]])
+                    out.append(-right[b - 1])
+                out += (outputs[a + b - 1], 0)
         # Monotonicity: outputs[j] implies outputs[j-1].
         for j in range(1, total):
-            builder.add_hard([-outputs[j], outputs[j - 1]])
+            out += (-outputs[j], outputs[j - 1], 0)
         return outputs
 
     def enforce_at_most(self, bound: int) -> None:
@@ -167,36 +171,39 @@ class GeneralizedTotalizer:
         if not self.weighted_inputs:
             self.outputs: dict[int, int] = {}
             return
-        self.outputs = self._build(self.weighted_inputs)
+        out: list[int] = []
+        self.outputs = self._build(self.weighted_inputs, out)
+        builder.add_flat(array("i", out))
 
-    def _build(self, pairs: list[tuple[int, int]]) -> dict[int, int]:
+    def _build(self, pairs: list[tuple[int, int]], out: list[int]) -> dict[int, int]:
         if len(pairs) == 1:
             literal, weight = pairs[0]
             return {weight: literal}
         mid = len(pairs) // 2
-        left = self._build(pairs[:mid])
-        right = self._build(pairs[mid:])
-        return self._merge(left, right)
+        left = self._build(pairs[:mid], out)
+        right = self._build(pairs[mid:], out)
+        return self._merge(left, right, out)
 
-    def _merge(self, left: dict[int, int], right: dict[int, int]) -> dict[int, int]:
-        builder = self.builder
+    def _merge(self, left: dict[int, int], right: dict[int, int],
+               out: list[int]) -> dict[int, int]:
+        new_var = self.builder.new_var
         sums: set[int] = set(left) | set(right)
         for left_weight in left:
             for right_weight in right:
                 sums.add(left_weight + right_weight)
-        outputs = {weight: builder.new_var() for weight in sorted(sums)}
+        outputs = {weight: new_var() for weight in sorted(sums)}
         for left_weight, left_literal in left.items():
-            builder.add_hard([-left_literal, outputs[left_weight]])
+            out += (-left_literal, outputs[left_weight], 0)
         for right_weight, right_literal in right.items():
-            builder.add_hard([-right_literal, outputs[right_weight]])
+            out += (-right_literal, outputs[right_weight], 0)
         for left_weight, left_literal in left.items():
             for right_weight, right_literal in right.items():
                 combined = left_weight + right_weight
-                builder.add_hard([-left_literal, -right_literal, outputs[combined]])
+                out += (-left_literal, -right_literal, outputs[combined], 0)
         # Monotonicity between consecutive achievable sums.
         ordered = sorted(outputs)
         for lower, upper in zip(ordered, ordered[1:]):
-            builder.add_hard([-outputs[upper], outputs[lower]])
+            out += (-outputs[upper], outputs[lower], 0)
         return outputs
 
     def enforce_weight_less_than(self, bound: int) -> None:

@@ -137,7 +137,7 @@ class FuMalikSolver:
                 selectors[position] = new_selector
                 soft_of_selector[new_selector] = soft_index
 
-            hard_before = len(builder.hard_flat)
+            hard_before = builder.hard_words
             exactly_one(builder, blocking_vars)
             if self.session is None:
                 builder.stream_hard(sat, hard_before)

@@ -26,6 +26,7 @@ Two execution modes share one code path:
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.maxsat.cardinality import GeneralizedTotalizer, Totalizer
@@ -45,7 +46,7 @@ class LinearSearchOutcome:
     found_model: bool
     optimal: bool
     cost: int
-    model: dict[int, bool]
+    model: Mapping[int, bool]
     sat_calls: int
     elapsed: float
 
@@ -133,7 +134,9 @@ class LinearSearchSolver:
                 elapsed=time.monotonic() - start,
             )
 
-        best_model = dict(result.model)
+        # Models are never mutated (native ones are read-only byte views),
+        # so the best one is kept by reference.
+        best_model = result.model
         best_cost = builder.cost_of_model(best_model)
         if best_cost == 0 or not builder.soft:
             return LinearSearchOutcome(True, True, best_cost, best_model, sat_calls,
@@ -173,7 +176,7 @@ class LinearSearchSolver:
                 bound_cost = self._bound_cost(result.model, builder, self._bound_weights)
                 if cost < best_cost:
                     best_cost = cost
-                    best_model = dict(result.model)
+                    best_model = result.model
                 if bound_cost >= best_bound_cost:
                     # The bound forces strictly decreasing bound cost; if it
                     # did not decrease something is inconsistent, so stop
@@ -343,7 +346,7 @@ class LinearSearchSolver:
         return [max(1, round(weight * scale)) for weight in weights]
 
     @staticmethod
-    def _bound_cost(model: dict[int, bool], builder: WcnfBuilder,
+    def _bound_cost(model: Mapping[int, bool], builder: WcnfBuilder,
                     bound_weights: list[int]) -> int:
         """Cost of ``model`` as the bound structure measures it."""
         total = 0

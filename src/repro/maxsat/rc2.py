@@ -142,7 +142,7 @@ class OllSolver:
                 # additional violation within this core costs core_weight more,
                 # which is exactly what soft-ening the higher totalizer outputs
                 # expresses.
-                hard_before = len(builder.hard_flat)
+                hard_before = builder.hard_words
                 totalizer = Totalizer(builder, core_selectors)
                 if self.session is None:
                     builder.stream_hard(sat, hard_before)

@@ -40,7 +40,7 @@ class MaxSatResult:
 
     status: MaxSatStatus
     cost: int = -1
-    model: dict[int, bool] = field(default_factory=dict)
+    model: Mapping[int, bool] = field(default_factory=dict)
     sat_calls: int = 0
     solve_time: float = 0.0
 

@@ -4,12 +4,15 @@
 variable counter, the hard clauses, and the weighted soft clauses, and it can
 be converted to the DIMACS containers in :mod:`repro.sat.dimacs`.
 
-Hard clauses live in one flat store, :attr:`WcnfBuilder.hard_flat`: a
-zero-terminated ``array('i')`` (the format of :mod:`repro.sat.flat`) plus a
-clause count.  Encoders append whole constraint families with
-:meth:`~WcnfBuilder.add_flat`, which validates the buffer once; small callers
-(totalizers, exclusion clauses) still use :meth:`~WcnfBuilder.add_hard`,
-which appends to the same store.
+Hard clauses live in a list of flat segments: zero-terminated
+``array('i')`` buffers (the format of :mod:`repro.sat.flat`), in insertion
+order, plus a clause count.  Encoders append whole constraint families with
+:meth:`~WcnfBuilder.add_flat`, which validates the buffer once and keeps a
+*reference* to an ``array`` rather than a copy -- so an encoding replayed
+from a shared template holds its gate-independent clauses once per
+process, not once per encoding.  A buffer handed to ``add_flat`` must not
+be modified afterwards.  Single clauses (exclusion clauses) go through
+:meth:`~WcnfBuilder.add_hard`, which appends to a segment the builder owns.
 
 The builder is itself a :class:`repro.sat.session.ClauseSink`, and it can be
 *attached* to another sink -- typically a live
@@ -24,6 +27,7 @@ formula.  Readers that feed a solver of their own use
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.sat.dimacs import WcnfFormula
@@ -44,14 +48,20 @@ class WcnfBuilder:
 
     num_vars: int = 0
     soft: list[SoftClause] = field(default_factory=list)
-    #: Every hard clause, zero-terminated, in insertion order.  Read-only
-    #: for callers: append through :meth:`add_hard` / :meth:`add_flat`.
-    hard_flat: array = field(default_factory=lambda: array("i"))
+    #: Every hard clause, zero-terminated, in insertion order, split into
+    #: the segments the clauses arrived in.  Append through
+    #: :meth:`add_hard` / :meth:`add_flat`; read through :meth:`to_dimacs`
+    #: or :meth:`stream_hard`.
+    _segments: list[array] = field(default_factory=list, repr=False)
+    #: The last segment when the builder owns it: :meth:`add_hard` appends
+    #: there.  ``None`` after a shared buffer, which is never modified.
+    _tail: array | None = field(default=None, repr=False, compare=False)
+    _num_words: int = field(default=0, repr=False)
     _num_hard: int = field(default=0, repr=False)
     #: Attached streaming sink (a ``SatSession`` in practice); ``None`` keeps
     #: the builder a plain in-memory container.
     _sink: object | None = field(default=None, repr=False, compare=False)
-    #: Words of ``hard_flat`` the sink has already received.
+    #: Words of the hard clauses the sink has already received.
     _streamed: int = field(default=0, repr=False, compare=False)
     #: The sink generation last streamed to; a mismatch (session reset)
     #: restarts streaming from the first clause.
@@ -74,13 +84,18 @@ class WcnfBuilder:
         """
         self._validate(clause)
         in_sync = self._in_sync()
-        self.hard_flat.extend(clause)
-        self.hard_flat.append(0)
+        tail = self._tail
+        if tail is None:
+            tail = self._tail = array("i")
+            self._segments.append(tail)
+        tail.extend(clause)
+        tail.append(0)
+        self._num_words += len(clause) + 1
         self._num_hard += 1
         if in_sync:
             self._sink.ensure_vars(self.num_vars)
             self._sink.add_hard(clause)
-            self._streamed = len(self.hard_flat)
+            self._streamed = self._num_words
         elif self._sink is not None:
             self.sync_sink()
 
@@ -88,7 +103,9 @@ class WcnfBuilder:
         """Add a zero-terminated int32 buffer of hard clauses; return their count.
 
         The buffer is validated once, as a whole (see :mod:`repro.sat.flat`),
-        and an attached sink receives it in a single ``add_flat`` call.
+        and an attached sink receives it in a single ``add_flat`` call.  An
+        ``array`` is stored by reference, so it must not be modified
+        afterwards; any other buffer is copied.
         """
         count, largest = scan_flat(buffer)
         if not count:
@@ -96,12 +113,18 @@ class WcnfBuilder:
         if largest > self.num_vars:
             self.num_vars = largest
         in_sync = self._in_sync()
-        self.hard_flat.frombytes(memoryview(buffer).cast("B"))
+        if type(buffer) is not array:
+            segment = array("i")
+            segment.frombytes(memoryview(buffer).cast("B"))
+            buffer = segment
+        self._segments.append(buffer)
+        self._tail = None
+        self._num_words += len(buffer)
         self._num_hard += count
         if in_sync:
             self._sink.ensure_vars(self.num_vars)
             self._sink.add_flat(buffer)
-            self._streamed = len(self.hard_flat)
+            self._streamed = self._num_words
         elif self._sink is not None:
             self.sync_sink()
         return count
@@ -135,7 +158,7 @@ class WcnfBuilder:
     def _in_sync(self) -> bool:
         """Whether the sink holds every clause so far (fast streaming path)."""
         sink = self._sink
-        return (sink is not None and self._streamed == len(self.hard_flat)
+        return (sink is not None and self._streamed == self._num_words
                 and getattr(sink, "generation", 0) == self._sink_generation)
 
     def attach_sink(self, sink) -> None:
@@ -179,14 +202,22 @@ class WcnfBuilder:
         """Feed the hard clauses from word ``start`` on into ``target``.
 
         ``target`` is anything with ``ensure_vars`` and ``add_flat`` (a
-        session or a bare solver).  Returns the end offset, which a caller
-        passes back as ``start`` to feed only the clauses added since.
+        session or a bare solver); it receives one ``add_flat`` call per
+        stored segment.  Returns the end offset, which a caller passes back
+        as ``start`` to feed only the clauses added since.
         """
         target.ensure_vars(self.num_vars)
-        end = len(self.hard_flat)
-        if start < end:
-            target.add_flat(self.hard_flat[start:])
-        return end
+        offset = 0
+        for segment in self._segments:
+            end = offset + len(segment)
+            if end > start:
+                if start > offset or segment is self._tail:
+                    # A partial segment, or one later add_hard calls grow:
+                    # hand over a copy.
+                    segment = segment[max(0, start - offset):]
+                target.add_flat(segment)
+            offset = end
+        return offset
 
     # -------------------------------------------------------------- queries
 
@@ -199,6 +230,11 @@ class WcnfBuilder:
         return self._num_hard
 
     @property
+    def hard_words(self) -> int:
+        """Length of the hard clauses in flat words (a :meth:`stream_hard` offset)."""
+        return self._num_words
+
+    @property
     def num_soft(self) -> int:
         return len(self.soft)
 
@@ -209,13 +245,14 @@ class WcnfBuilder:
     def to_dimacs(self) -> WcnfFormula:
         """Convert to the DIMACS WCNF container (for export / debugging)."""
         formula = WcnfFormula(num_vars=self.num_vars)
-        for clause in iter_clauses(self.hard_flat):
-            formula.add_hard(clause)
+        for segment in self._segments:
+            for clause in iter_clauses(segment):
+                formula.add_hard(clause)
         for soft in self.soft:
             formula.add_soft(soft.literals, soft.weight)
         return formula
 
-    def cost_of_model(self, model: dict[int, bool]) -> int:
+    def cost_of_model(self, model: Mapping[int, bool]) -> int:
         """Total weight of soft clauses falsified by ``model``."""
         cost = 0
         for soft in self.soft:
@@ -229,7 +266,7 @@ class WcnfBuilder:
             self.num_vars = max_var
 
 
-def clause_satisfied(clause: list[int], model: dict[int, bool]) -> bool:
+def clause_satisfied(clause: list[int], model: Mapping[int, bool]) -> bool:
     """Return ``True`` if ``model`` satisfies ``clause`` (missing vars are False)."""
     for literal in clause:
         value = model.get(abs(literal), False)

@@ -14,6 +14,11 @@ on behaves identically to the pure-Python solver.  Returning to Python once
 per restart costs nothing measurable (restarts are hundreds of conflicts
 apart) and keeps anytime budgets honest even if the C core misbehaves.
 
+A SAT answer's model is a :class:`NativeModel`: a read-only mapping over
+the bytes the core hands back, one byte per variable.  Nothing is copied
+into a dict, so a model costs one C call whatever the variable count, and
+the MaxSAT layer keeps the best one by reference.
+
 Cross-checking (``REPRO_SAT_CROSSCHECK=1``) happens here rather than in
 :class:`~repro.sat.session.SatSession` because MaxSAT strategies add
 relaxation clauses directly through ``session.solver.add_clause``: the
@@ -26,6 +31,7 @@ of the cores is wrong.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator, Mapping
 
 from repro.obs import trace as obs_trace
 from repro.sat import backends
@@ -41,6 +47,38 @@ from repro.sat.solver import (
 
 class CrossCheckError(RuntimeError):
     """The native core and the pure-Python core disagreed on an answer."""
+
+
+class NativeModel(Mapping):
+    """A read-only ``{variable: bool}`` view over the core's model bytes.
+
+    Byte ``v`` is 1 when variable ``v`` is true; byte 0 is unused.  The
+    mapping holds every variable the core had when it found the model, and
+    compares equal to a dict with the same entries.  Reads go straight to
+    the bytes, so the linear search can keep models without copying them.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: bytes) -> None:
+        self._values = values
+
+    def __getitem__(self, variable: int) -> bool:
+        if isinstance(variable, int) and 0 < variable < len(self._values):
+            return self._values[variable] != 0
+        raise KeyError(variable)
+
+    def get(self, variable: int, default=None):
+        # The hot path of cost and clause evaluation: no KeyError round trip.
+        if 0 < variable < len(self._values):
+            return self._values[variable] != 0
+        return default
+
+    def __len__(self) -> int:
+        return len(self._values) - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self._values)))
 
 
 class NativeSatSolver:
@@ -202,10 +240,8 @@ class NativeSatSolver:
                 self.stats.restarts += 1
                 continue
             if status == 1:
-                model_bytes = self._core.get_model()
-                model = {variable: bool(model_bytes[variable])
-                         for variable in range(1, self._core.num_vars + 1)}
-                return finish(SolverStatus.SAT, model=model)
+                return finish(SolverStatus.SAT,
+                              model=NativeModel(self._core.get_model()))
             if status == -1:
                 return finish(SolverStatus.UNSAT)
             if status == -2:
@@ -258,4 +294,4 @@ class NativeSatSolver:
                 self._unsat_crosschecked = True
 
 
-__all__ = ["NativeSatSolver", "CrossCheckError"]
+__all__ = ["NativeSatSolver", "NativeModel", "CrossCheckError"]

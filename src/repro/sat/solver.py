@@ -20,6 +20,7 @@ is what :class:`repro.sat.session.SatSession` builds on.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -48,13 +49,15 @@ class SolverStatus(Enum):
 class SolveResult:
     """Result of a solve call.
 
-    ``model`` maps variable index to Boolean value when ``status`` is SAT.
-    ``core`` contains the subset of assumption literals responsible for
-    unsatisfiability when ``status`` is UNSAT and assumptions were given.
+    ``model`` maps variable index to Boolean value when ``status`` is SAT:
+    a dict from this core, a :class:`~repro.sat.native.NativeModel` from the
+    native one; treat it as read-only either way.  ``core`` contains the
+    subset of assumption literals responsible for unsatisfiability when
+    ``status`` is UNSAT and assumptions were given.
     """
 
     status: SolverStatus
-    model: dict[int, bool] = field(default_factory=dict)
+    model: Mapping[int, bool] = field(default_factory=dict)
     core: list[int] = field(default_factory=list)
     conflicts: int = 0
     decisions: int = 0

@@ -13,6 +13,8 @@ from repro.core import (
     SatMapRouter,
 )
 from repro.hardware.topologies import line_architecture
+from repro.sat import native
+from repro.sat.backends import CROSSCHECK_ENV, native_available
 
 
 def tiny_circuit() -> QuantumCircuit:
@@ -63,6 +65,28 @@ class TestErrorCapture:
     def test_rejects_nonpositive_budget(self):
         with pytest.raises(ValueError):
             ExplodingRouter(time_budget=0.0)
+
+
+@pytest.mark.skipif(not native_available(), reason="compiled SAT core not built")
+class TestCrossCheckPropagates:
+    """A cross-check disagreement escapes ``route()`` instead of becoming ERROR."""
+
+    def test_a_planted_bad_native_model_raises_through_route(self, monkeypatch):
+        monkeypatch.setenv(CROSSCHECK_ENV, "1")
+        honest = native.NativeModel
+        # Every model the core returns reads all-false from its bytes.
+        monkeypatch.setattr(native, "NativeModel",
+                            lambda values: honest(bytes(len(values))))
+        router = SatMapRouter(solver_backend="native", time_budget=30)
+        with pytest.raises(native.CrossCheckError,
+                           match="does not satisfy clause"):
+            router.route(tiny_circuit(), line_architecture(3))
+
+    def test_honest_native_models_pass_the_cross_check(self, monkeypatch):
+        monkeypatch.setenv(CROSSCHECK_ENV, "1")
+        result = SatMapRouter(solver_backend="native", time_budget=30).route(
+            tiny_circuit(), line_architecture(3))
+        assert result.solved
 
 
 class TestProtocolAdoption:

@@ -106,7 +106,7 @@ class TestEncodingSize:
         for step in range(encoding.num_steps):
             for logical in range(3):
                 for physical in range(3):
-                    assert (logical, physical, step) in encoding.registry.map_vars
+                    assert encoding.registry.map_var(logical, physical, step) > 0
 
 
 class TestEncodingSemantics:
@@ -171,7 +171,7 @@ class TestEncodingSemantics:
     def test_noop_variable_exists_per_slot(self):
         encoding = encode(two_cx_circuit(), line_architecture(3))
         for step, slot in encoding.swap_slots:
-            assert (NOOP, step, slot) in encoding.registry.swap_vars
+            assert encoding.registry.swap_var(NOOP, step, slot) > 0
 
 
 class TestNoiseAwareEncoding:

@@ -1,5 +1,7 @@
 """Tests for the hybrid router (MaxSAT placement + heuristic routing)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,11 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import cx
 from repro.circuits.named_circuits import ghz_circuit, qft_circuit
 from repro.circuits.random_circuits import random_circuit
-from repro.core.hybrid import HybridSatMapRouter, placement_adjacency_score
+from repro.core.hybrid import (
+    HybridSatMapRouter,
+    placement_adjacency_score,
+    placement_instance,
+)
 from repro.core.satmap import SatMapRouter
 from repro.core.verifier import verify_routing
 from repro.hardware.topologies import (
@@ -18,6 +24,7 @@ from repro.hardware.topologies import (
     reduced_tokyo_architecture,
     ring_architecture,
 )
+from repro.sat.dimacs import write_wcnf
 
 
 def _circuit(num_qubits, gates):
@@ -57,6 +64,30 @@ class TestPlacement:
             circuit, architecture, identity_mapping(circuit, architecture))
         assert optimal_score >= identity_score
         assert optimal_score == circuit.num_two_qubit_gates
+
+
+class TestPlacementInstance:
+    """The placement WCNF, pinned to the text of clause-at-a-time emission."""
+
+    # sha256 of the WCNF text, variables, hard and soft clause counts.
+    GOLDEN = [
+        (reduced_tokyo_architecture(8), random_circuit(5, 12, seed=21),
+         "902310ad167f11c6bd0399421bd2f144f529c37246b1e9e06ec6d8f4b710e2d2",
+         184, 513, 6),
+        (line_architecture(4), random_circuit(3, 6, seed=22),
+         "d315c59443c7e5db6ef2ef53a6c902c0dc281ddb020ac236ca926efd9c8084f1",
+         30, 69, 3),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(GOLDEN)))
+    def test_wcnf_text_is_unchanged(self, case):
+        architecture, circuit, digest, variables, hard, soft = self.GOLDEN[case]
+        builder, map_var = placement_instance(circuit, architecture)
+        text = write_wcnf(builder.to_dimacs())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert (builder.num_vars, builder.num_hard, builder.num_soft) == (
+            variables, hard, soft)
+        assert len(map_var) == circuit.num_qubits * architecture.num_qubits
 
 
 class TestHybridRouting:

@@ -34,14 +34,8 @@ class TestVariableRegistry:
 
     def test_noop_edge_is_allowed(self):
         variable = self.registry.swap_var(NOOP, 3)
-        assert self.registry.lookup_swap(variable) == (NOOP, 3, 0)
-
-    def test_reverse_lookup_map(self):
-        variable = self.registry.map_var(2, 3, 1)
-        assert self.registry.lookup_map(variable) == (2, 3, 1)
-
-    def test_reverse_lookup_unknown_returns_none(self):
-        assert self.registry.lookup_map(999) is None
+        assert self.registry.swap_var(NOOP, 3) == variable
+        assert self.registry.swap_vars[(NOOP, 3, 0)] == variable
 
     def test_counters(self):
         self.registry.map_var(0, 0, 0)

@@ -11,14 +11,21 @@ from repro.obs import SamplingProfiler
 from repro.obs.profiler import profile
 
 
-def spin_briefly(stop: threading.Event) -> None:
-    while not stop.is_set():
+class StopFlag:
+    """A plain attribute to poll: reading it runs no Python callee, so every
+    sample of the spinner's thread ends in ``spin_briefly`` itself."""
+
+    raised = False
+
+
+def spin_briefly(stop: StopFlag) -> None:
+    while not stop.raised:
         sum(range(200))
 
 
 class TestSamplingProfiler:
     def test_samples_a_busy_thread_into_collapsed_stacks(self):
-        stop = threading.Event()
+        stop = StopFlag()
         worker = threading.Thread(target=spin_briefly, args=(stop,),
                                   name="busy")
         worker.start()
@@ -26,7 +33,7 @@ class TestSamplingProfiler:
             with SamplingProfiler(interval=0.002) as profiler:
                 time.sleep(0.15)
         finally:
-            stop.set()
+            stop.raised = True
             worker.join()
         assert profiler.samples > 5
         collapsed = profiler.collapsed()
@@ -81,13 +88,13 @@ class TestSamplingProfiler:
 
 class TestProfileFunction:
     def test_profiles_other_threads_for_the_duration(self):
-        stop = threading.Event()
+        stop = StopFlag()
         worker = threading.Thread(target=spin_briefly, args=(stop,))
         worker.start()
         try:
             report = profile(0.1, interval=0.002)
         finally:
-            stop.set()
+            stop.raised = True
             worker.join()
         assert report["seconds"] == pytest.approx(0.1)
         assert report["stacks_sampled"] > 0

@@ -142,6 +142,50 @@ def test_builder_streams_a_buffer_in_one_call_and_stores_it_once(backend):
     assert session.num_vars == 5
 
 
+class RecordingTarget:
+    """Stands in for a solver: records what ``stream_hard`` feeds it."""
+
+    def __init__(self):
+        self.buffers = []
+
+    def ensure_vars(self, max_var):
+        pass
+
+    def add_flat(self, buffer):
+        self.buffers.append(list(buffer))
+        return buffer.count(0)
+
+
+def test_builder_never_writes_into_a_buffer_it_was_given():
+    shared = flat([[1, 2], [-1]])
+    builder = WcnfBuilder()
+    builder.add_flat(shared)
+    builder.add_hard([3])
+    builder.add_flat(memoryview(flat([[4]])))
+    builder.add_hard([5])
+    builder.add_hard([-5, 6])
+    assert shared == flat([[1, 2], [-1]])
+    assert builder.to_dimacs().hard == [[1, 2], [-1], [3], [4], [5], [-5, 6]]
+    assert builder.num_hard == 6 and builder.hard_words == 14
+
+
+def test_stream_hard_resumes_at_any_word_offset():
+    builder = WcnfBuilder()
+    builder.add_flat(flat([[1, 2], [-1]]))
+    middle = builder.hard_words
+    builder.add_hard([3])
+    builder.add_flat(flat([[4], [-4, 5]]))
+    target = RecordingTarget()
+    assert builder.stream_hard(target, 3) == builder.hard_words
+    assert target.buffers == [[-1, 0], [3, 0], [4, 0, -4, 5, 0]]
+    target = RecordingTarget()
+    builder.stream_hard(target, middle)
+    assert target.buffers == [[3, 0], [4, 0, -4, 5, 0]]
+    target = RecordingTarget()
+    assert builder.stream_hard(target, builder.hard_words) == 12
+    assert target.buffers == []
+
+
 def test_builder_rejects_a_bad_buffer_without_storing_it():
     builder = WcnfBuilder()
     builder.add_hard([1])
