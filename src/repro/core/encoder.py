@@ -41,8 +41,9 @@ literals and a compact :class:`~repro.core.variables.VariableLayout`.  An
 encode replays the template around a freshly built adjacency family and
 pin, so a slice costs what its gates cost.  The clauses, their order and
 the variable numbering are exactly those of clause-at-a-time emission.  The
-cache never holds more than :data:`TEMPLATE_CACHE_BYTES`; noise-aware
-encoders are not cached.
+cache never holds more than :data:`TEMPLATE_CACHE_BYTES`.  Noise-aware
+encoders share the templates of their shape and build their weighted soft
+clauses per call.
 """
 
 from __future__ import annotations
@@ -339,11 +340,10 @@ class QmrEncoder:
     def template(self, num_logical: int, num_steps: int) -> EncodingTemplate:
         """The gate-independent template of this encoder's shape.
 
-        Cached process-wide under the shape key; noise-aware encoders build
-        theirs afresh every time.
+        Cached process-wide under the shape key.  The noise model is not
+        part of the key: it only shapes the soft clauses, which noise-aware
+        encodes build per call.
         """
-        if self.options.noise_model is not None:
-            return self._build_template(num_logical, num_steps)
         options = self.options
         architecture = self.architecture
         key = (architecture.num_qubits, tuple(architecture.edges), num_logical,

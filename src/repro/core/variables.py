@@ -9,12 +9,13 @@ The encoding of Fig. 5 uses two families of variables:
   ``(p, p) = NOOP`` meaning no SWAP is performed in that slot.
 
 :class:`VariableRegistry` hands out SAT variable indices for these on
-demand.  Once an encoding shape is fully allocated,
-:meth:`VariableRegistry.freeze` condenses it into a :class:`VariableLayout`:
-the encoder allocates every map row as consecutive variables and every SWAP
-slot's choices (no-op first, then each edge) as consecutive variables, so
-the whole numbering is one table of row starts per step plus one base
-variable per slot.  Encodings and model extraction read that layout.
+demand and supports reverse lookup.  Once an encoding shape is fully
+allocated, :meth:`VariableRegistry.freeze` condenses it into a
+:class:`VariableLayout`: the encoder allocates every map row as consecutive
+variables and every SWAP slot's choices (no-op first, then each edge) as
+consecutive variables, so the whole numbering is one table of row starts
+per step plus one base variable per slot.  Encodings and model extraction
+read that layout.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class VariableRegistry:
     builder: WcnfBuilder
     map_vars: dict[tuple[int, int, int], int] = field(default_factory=dict)
     swap_vars: dict[tuple[tuple[int, int], int, int], int] = field(default_factory=dict)
+    _reverse_map: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    _reverse_swap: dict[int, tuple[tuple[int, int], int, int]] = field(default_factory=dict)
     #: ``(logical, step) -> [map(logical, p, step) for every p]``, cached.
     _rows: dict[tuple[int, int], list[int]] = field(default_factory=dict, repr=False)
 
@@ -43,7 +46,9 @@ class VariableRegistry:
         """Variable for ``map(logical, physical, step)``, creating it if needed."""
         key = (logical, physical, step)
         if key not in self.map_vars:
-            self.map_vars[key] = self.builder.new_var()
+            variable = self.builder.new_var()
+            self.map_vars[key] = variable
+            self._reverse_map[variable] = key
         return self.map_vars[key]
 
     def map_row(self, logical: int, step: int, num_physical: int) -> list[int]:
@@ -66,8 +71,18 @@ class VariableRegistry:
             edge = (min(edge), max(edge))
         key = (edge, step, slot)
         if key not in self.swap_vars:
-            self.swap_vars[key] = self.builder.new_var()
+            variable = self.builder.new_var()
+            self.swap_vars[key] = variable
+            self._reverse_swap[variable] = key
         return self.swap_vars[key]
+
+    def lookup_map(self, variable: int) -> tuple[int, int, int] | None:
+        """Reverse lookup: which (logical, physical, step) a variable encodes."""
+        return self._reverse_map.get(variable)
+
+    def lookup_swap(self, variable: int) -> tuple[tuple[int, int], int, int] | None:
+        """Reverse lookup: which (edge, step, slot) a variable encodes."""
+        return self._reverse_swap.get(variable)
 
     @property
     def num_map_vars(self) -> int:
@@ -82,16 +97,21 @@ class VariableRegistry:
                slots: list[tuple[int, int]]) -> "VariableLayout":
         """The compact layout of the rows and ``slots`` allocated so far.
 
-        Every row must have been created by :meth:`map_row` over
-        ``num_physical`` qubits, and every slot's variables in the order
-        no-op, then ``edges``; a numbering that is not contiguous that way
-        raises ``ValueError``.
+        Every step that has a row must have one for each of the
+        ``num_logical`` qubits, each created by :meth:`map_row` over
+        ``num_physical`` qubits, and every slot's variables must follow the
+        order no-op, then ``edges``; a numbering that is incomplete or not
+        contiguous that way raises ``ValueError``.
         """
         starts: dict[int, array] = {}
         for (logical, step), row in self._rows.items():
             if row != list(range(row[0], row[0] + num_physical)):
                 raise ValueError(f"map row ({logical}, {step}) is not contiguous")
             starts.setdefault(step, array("i", bytes(4 * num_logical)))[logical] = row[0]
+        for step, row_starts in starts.items():
+            if 0 in row_starts:
+                raise ValueError(f"step {step} lacks the map row of logical "
+                                 f"qubit {row_starts.index(0)}")
         bases = {}
         for step, slot in slots:
             base = self.swap_vars[(NOOP, step, slot)]

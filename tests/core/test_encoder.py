@@ -103,10 +103,12 @@ class TestEncodingSize:
 
     def test_map_variables_exist_for_all_steps(self):
         encoding = encode(two_cx_circuit(), line_architecture(3))
-        for step in range(encoding.num_steps):
-            for logical in range(3):
-                for physical in range(3):
-                    assert encoding.registry.map_var(logical, physical, step) > 0
+        variables = {encoding.registry.map_var(logical, physical, step)
+                     for step in range(encoding.num_steps)
+                     for logical in range(3) for physical in range(3)}
+        assert len(variables) == 3 * 3 * encoding.num_steps
+        assert all(1 <= variable <= encoding.num_variables
+                   for variable in variables)
 
 
 class TestEncodingSemantics:
@@ -170,8 +172,10 @@ class TestEncodingSemantics:
 
     def test_noop_variable_exists_per_slot(self):
         encoding = encode(two_cx_circuit(), line_architecture(3))
-        for step, slot in encoding.swap_slots:
-            assert encoding.registry.swap_var(NOOP, step, slot) > 0
+        noops = {encoding.registry.swap_var(NOOP, step, slot)
+                 for step, slot in encoding.swap_slots}
+        assert len(noops) == len(encoding.swap_slots)
+        assert all(1 <= variable <= encoding.num_variables for variable in noops)
 
 
 class TestNoiseAwareEncoding:

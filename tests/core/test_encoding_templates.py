@@ -56,10 +56,17 @@ class TestColdAndWarm:
         cached = len(template_cache())
         warm = encoding_digest(architecture, circuit, options)
         assert cold == warm == GOLDEN[name]
-        # The warm encode reused the cold one's template (noise-aware
-        # encoders are never cached).
-        assert len(template_cache()) == cached
-        assert cached == (0 if "noise_model" in options else 1)
+        # The warm encode reused the cold one's template.
+        assert len(template_cache()) == cached == 1
+
+    def test_a_noise_aware_encode_replays_the_plain_template(self):
+        architecture, circuit, options = CASES["noise"]
+        plain = {key: value for key, value in options.items()
+                 if key != "noise_model"}
+        encoding_digest(architecture, circuit, plain)
+        assert len(template_cache()) == 1
+        assert encoding_digest(architecture, circuit, options) == GOLDEN["noise"]
+        assert len(template_cache()) == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", range(12))

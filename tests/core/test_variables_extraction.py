@@ -34,14 +34,62 @@ class TestVariableRegistry:
 
     def test_noop_edge_is_allowed(self):
         variable = self.registry.swap_var(NOOP, 3)
-        assert self.registry.swap_var(NOOP, 3) == variable
-        assert self.registry.swap_vars[(NOOP, 3, 0)] == variable
+        assert self.registry.lookup_swap(variable) == (NOOP, 3, 0)
+
+    def test_reverse_lookup_map(self):
+        variable = self.registry.map_var(2, 3, 1)
+        assert self.registry.lookup_map(variable) == (2, 3, 1)
+
+    def test_reverse_lookup_unknown_returns_none(self):
+        assert self.registry.lookup_map(999) is None
 
     def test_counters(self):
         self.registry.map_var(0, 0, 0)
         self.registry.swap_var((0, 1), 0)
         assert self.registry.num_map_vars == 1
         assert self.registry.num_swap_vars == 1
+
+
+class TestFreeze:
+    EDGES = ((0, 1), (1, 2))
+
+    def setup_method(self):
+        self.registry = VariableRegistry(WcnfBuilder())
+
+    def test_layout_matches_the_registry(self):
+        for step in (0, 1):
+            for logical in range(2):
+                self.registry.map_row(logical, step, 3)
+        self.registry.swap_var(NOOP, 1)
+        for edge in self.EDGES:
+            self.registry.swap_var(edge, 1)
+        layout = self.registry.freeze(2, 3, self.EDGES, [(1, 0)])
+        for (logical, physical, step), variable in self.registry.map_vars.items():
+            assert layout.map_var(logical, physical, step) == variable
+        for (edge, step, slot), variable in self.registry.swap_vars.items():
+            assert layout.swap_var(edge, step, slot) == variable
+
+    def test_a_step_missing_a_row_is_rejected(self):
+        self.registry.map_row(0, 0, 3)
+        self.registry.map_row(0, 1, 3)
+        self.registry.map_row(1, 1, 3)
+        with pytest.raises(ValueError, match="step 0 lacks .* qubit 1"):
+            self.registry.freeze(2, 3, self.EDGES, [])
+
+    def test_a_non_contiguous_slot_is_rejected(self):
+        self.registry.swap_var(NOOP, 1)
+        self.registry.swap_var((1, 2), 1)
+        self.registry.swap_var((0, 1), 1)
+        with pytest.raises(ValueError, match="not contiguous"):
+            self.registry.freeze(0, 3, self.EDGES, [(1, 0)])
+
+    def test_unallocated_steps_and_qubits_raise(self):
+        for logical in range(2):
+            self.registry.map_row(logical, 0, 3)
+        layout = self.registry.freeze(2, 3, self.EDGES, [])
+        for key in ((0, 0, 1), (2, 0, 0), (0, 3, 0)):
+            with pytest.raises(KeyError):
+                layout.map_var(*key)
 
 
 class TestCompleteMapping:
@@ -77,6 +125,15 @@ class TestExtraction:
         solution = extract_solution(encoding, model)
         for mapping in solution.step_mappings.values():
             assert len(set(mapping.values())) == len(mapping)
+        # Extraction reads only the root and final rows; read every step's
+        # map through the layout too.
+        layout = encoding.registry
+        for step in range(encoding.root_step, encoding.final_step + 1):
+            placed = [physical for logical in range(encoding.num_logical)
+                      for physical in range(4)
+                      if model.get(layout.map_var(logical, physical, step))]
+            assert len(placed) == encoding.num_logical
+            assert len(set(placed)) == len(placed)
 
     def test_swap_count_matches_model_cost(self):
         circuit = QuantumCircuit(4, [cx(0, 1), cx(0, 2), cx(3, 2), cx(0, 3)])
