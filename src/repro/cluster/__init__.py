@@ -7,12 +7,14 @@ from any client always reach the same worker and the gateway's cross-client
 dedup holds fleet-wide.  Workers share one disk result cache; the dispatcher
 health-checks and restarts crashed workers on their original shard ids,
 aggregates fleet ``/metrics`` and ``/v1/stats``, and fans out graceful
-drain.  ``repro serve --workers N`` is the CLI face of this package.
+drain.  The dispatcher is the gateway's HTTP front
+(:class:`~repro.server.http.HttpFront`) with its own handlers, and
+:func:`repro.server.serve` runs it: ``repro serve --workers N`` is the CLI
+face of this package.
 """
 
 from repro.cluster.config import FleetConfig
-from repro.cluster.dispatcher import (ClusterDispatcher, FleetThread,
-                                      serve_fleet)
+from repro.cluster.dispatcher import ClusterDispatcher, FleetThread
 from repro.cluster.hashring import HashRing
 from repro.cluster.worker import WorkerHandle, worker_main
 
@@ -22,6 +24,5 @@ __all__ = [
     "FleetThread",
     "HashRing",
     "WorkerHandle",
-    "serve_fleet",
     "worker_main",
 ]

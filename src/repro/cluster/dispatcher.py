@@ -29,42 +29,41 @@ Beyond routing, the dispatcher is the fleet's control plane:
   control-plane event stream (restarts, disables, drains), and
   ``POST /v1/admin/profile`` profiles one shard (``?shard=K``) or the
   dispatcher plus every live worker concurrently.
-* **Drain** -- ``/v1/admin/drain`` (or SIGTERM via :func:`serve_fleet`)
-  fans out to every worker, waits for them to finish their queues
-  best-so-far, then closes the listener.
+* **Drain** -- ``/v1/admin/drain`` (or SIGTERM via
+  :func:`~repro.server.http.serve`) fans out to every worker, waits for
+  them to finish their queues best-so-far, then closes the listener.
 * **Traces** -- ``/v1/jobs/<id>/trace`` is proxied to the owning shard and
   the returned tree is re-rooted under a ``dispatch`` span carrying the
   shard id and proxy latency, so ``repro trace <job>`` shows the full
   fleet path: dispatch -> job -> route -> sat-solve.
 
-Endpoints mirror the gateway's (clients cannot tell a dispatcher from a
-single gateway, except for the extra ``/v1/cluster`` topology view and the
-``shard`` field stamped into job payloads).
+The HTTP layer is the :class:`~repro.server.http.HttpFront` the gateway
+runs on, so clients cannot tell a dispatcher from a single gateway, except
+for the extra ``/v1/cluster`` topology view (the one route of its own),
+the extra ``/healthz`` fields and the ``shard`` field in job payloads.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import signal
-import threading
 import time
 import urllib.parse
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.api.registry import describe_routers
 from repro.cluster.config import FleetConfig
 from repro.cluster.hashring import HashRing
 from repro.cluster.worker import WorkerHandle
-from repro.hardware.devices import device_records, named_architectures
+from repro.hardware.devices import named_architectures
 from repro.obs import profiler as obs_profiler
-from repro.obs.events import LEVELS, EventLog
+from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import merge_slo_statuses, mirror_slo
 from repro.obs.trace import render_trace
 from repro.server import http, protocol
 from repro.server.admission import AdmissionController
+from repro.server.http import HttpFront, Request, ServerThread
 from repro.service import BatchRoutingService
 
 #: Most recent job -> shard dispatch records kept for trace re-rooting.
@@ -86,15 +85,14 @@ class DispatchRecord:
     retries: int = 0
 
 
-class ClusterDispatcher:
+class ClusterDispatcher(HttpFront):
     """Front-end dispatcher for a sharded gateway fleet (see module doc)."""
 
     def __init__(self, config: FleetConfig,
                  admission: AdmissionController | None = None,
                  architectures: dict | None = None) -> None:
+        super().__init__(config.host, config.port)
         self.config = config
-        self.host = config.host
-        self.port = config.port
         self.ring = HashRing(config.shard_ids(),
                              replicas=config.ring_replicas)
         self.workers: dict[int, WorkerHandle] = {
@@ -144,14 +142,12 @@ class ClusterDispatcher:
         #: into the base, so the mirrored series never regresses.
         self._monotone: dict[tuple[str, str], tuple[float, float]] = {}
         self._open_jobs = 0  # fleet-wide estimate, resynced by the sweep
-        self._draining = False
-        self._started = time.monotonic()
-        self._server: asyncio.AbstractServer | None = None
         self._health_task: asyncio.Task | None = None
         self._restarting: set[int] = set()
         self._disabled: set[int] = set()
-        self._connections: set[asyncio.Task] = set()
-        self._closed = asyncio.Event()
+
+    def _routes(self) -> dict:
+        return {**super()._routes(), ("GET", "/v1/cluster"): self._cluster}
 
     # --------------------------------------------------------------- lifecycle
 
@@ -167,18 +163,8 @@ class ClusterDispatcher:
             for handle in started:
                 handle.terminate()
             raise
-        self._server = await asyncio.start_server(self._on_connection,
-                                                  self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         self._health_task = asyncio.create_task(self._health_loop())
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def initiate_drain(self) -> None:
         """Begin graceful fleet shutdown (idempotent, loop thread only)."""
@@ -189,9 +175,6 @@ class ClusterDispatcher:
                             workers=len(self.workers),
                             jobs_open=self._open_jobs)
         asyncio.ensure_future(self._shutdown())
-
-    async def wait_closed(self) -> None:
-        await self._closed.wait()
 
     async def _shutdown(self) -> None:
         loop = asyncio.get_running_loop()
@@ -217,11 +200,7 @@ class ClusterDispatcher:
                 handle.terminate(join_timeout=5.0)
 
         await loop.run_in_executor(None, _reap)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._connections:
-            await asyncio.wait(self._connections, timeout=35.0)
+        await self._close_listener(grace=35.0)
         self._keyer.close()
         self._closed.set()
 
@@ -275,20 +254,10 @@ class ClusterDispatcher:
 
     async def _resync_open_jobs(self) -> None:
         """Refresh the fleet-wide open-job estimate feeding backpressure."""
-        total = 0
-        for handle in self.workers.values():
-            response = await self._fetch_worker(handle, "GET", "/v1/stats",
-                                                timeout=5.0)
-            if response is None:
-                continue
-            status, _, body = response
-            if status != 200:
-                continue
-            try:
-                total += int(json.loads(body).get("jobs_open", 0))
-            except (ValueError, TypeError):  # pragma: no cover - defensive
-                continue
-        self._open_jobs = total
+        per_shard = await self._gather_worker_json("GET", "/v1/stats")
+        self._open_jobs = sum(int(stats.get("jobs_open", 0))
+                              for stats in per_shard.values()
+                              if stats is not None)
 
     # ----------------------------------------------------------------- proxying
 
@@ -344,18 +313,28 @@ class ClusterDispatcher:
             forwarded["X-Client-Id"] = headers["x-client-id"]
         return forwarded
 
-    @staticmethod
-    def _decode_proxied(status: int, response_headers: dict, body: bytes):
-        """A proxied response as the local dispatch convention expects."""
+    def _proxied_reply(self, shard: int, response):
+        """A proxied response as a reply, its JSON tagged with ``shard``.
+
+        ``response`` is what :meth:`_proxy` returned; ``None`` (the shard
+        stayed unreachable) becomes the 503 + ``Retry-After`` reply.
+        """
+        if response is None:
+            return self._unavailable(shard)
+        status, response_headers, body, _ = response
         content_type = response_headers.get("content-type", "")
         extra = {}
         if "retry-after" in response_headers:
             extra["Retry-After"] = response_headers["retry-after"]
         if content_type.startswith("application/json"):
             try:
-                return status, json.loads(body.decode("utf-8")), extra
+                decoded = json.loads(body.decode("utf-8"))
             except ValueError:  # pragma: no cover - worker never sends this
                 pass
+            else:
+                if isinstance(decoded, dict):
+                    decoded["shard"] = shard
+                return status, decoded, extra
         return status, body.decode("utf-8", errors="replace"), extra
 
     def _unavailable(self, shard: int) -> tuple[int, dict, dict]:
@@ -379,9 +358,8 @@ class ClusterDispatcher:
 
     # ---------------------------------------------------------------- endpoints
 
-    async def _submit(self, headers: dict, body: bytes,
-                      peer: str) -> tuple[int, object, dict]:
-        client_id = headers.get("x-client-id") or peer
+    async def _submit(self, request: Request) -> tuple[int, object, dict]:
+        client_id = request.headers.get("x-client-id") or request.peer
         arrived = time.time()
         if self._draining:
             self.counters["rejected_draining"] += 1
@@ -396,55 +374,44 @@ class ClusterDispatcher:
                 f"over quota ({decision.reason})", reason=decision.reason,
                 retry_after=decision.retry_after)
             return 429, payload, {"Retry-After": f"{decision.retry_after:.3f}"}
-        payload = self._json_body(body)
 
         def parse_and_key() -> str:
-            job = protocol.parse_submit(payload, self.architectures)
+            job = protocol.parse_submit(request.payload, self.architectures)
             return self._keyer.job_key(job)
 
         loop = asyncio.get_running_loop()
         job_key = await loop.run_in_executor(None, parse_and_key)
         shard = self.ring.shard_for(job_key)
-        response = await self._proxy(shard, "POST", "/v1/jobs", body=body,
-                                     headers=self._forward_headers(headers))
-        if response is None:
-            return self._unavailable(shard)
-        status, response_headers, raw, tries = response
-        self._record_dispatch(job_key, DispatchRecord(
-            shard=shard, start=arrived, duration=time.time() - arrived,
-            retries=tries))
-        self.counters["dispatched"] += 1
-        self._open_jobs += 1
-        self._dispatched.inc(shard=str(shard))
-        status, decoded, extra = self._decode_proxied(status,
-                                                      response_headers, raw)
-        if isinstance(decoded, dict):
-            decoded["shard"] = shard
-        return status, decoded, extra
+        response = await self._proxy(
+            shard, "POST", "/v1/jobs", body=request.body,
+            headers=self._forward_headers(request.headers))
+        if response is not None:
+            self._record_dispatch(job_key, DispatchRecord(
+                shard=shard, start=arrived, duration=time.time() - arrived,
+                retries=response[3]))
+            self.counters["dispatched"] += 1
+            self._open_jobs += 1
+            self._dispatched.inc(shard=str(shard))
+        return self._proxied_reply(shard, response)
 
-    async def _job_request(self, job_id: str, suffix: str,
-                           query: dict) -> tuple[int, object, dict]:
+    async def _job_status(self, request: Request) -> tuple[int, object, dict]:
         """Status/result/trace lookups, proxied to the owning shard."""
-        shard = self.ring.shard_for(job_id)
-        path = f"/v1/jobs/{job_id}{suffix}"
-        timeout = http.READ_TIMEOUT
-        if query:
-            path += "?" + urllib.parse.urlencode(query)
-            try:
-                timeout += min(float(query.get("wait", 0.0)), 60.0)
-            except ValueError:
-                pass  # the worker rejects it with a proper 400
+        shard = self.ring.shard_for(request.job_id)
+        path = request.path
+        if request.query:
+            path += "?" + urllib.parse.urlencode(request.query)
+        # A long-poll holds the connection for up to ``wait`` seconds.
+        timeout = http.READ_TIMEOUT + min(request.wait, 60.0)
         response = await self._proxy(shard, "GET", path, timeout=timeout)
-        if response is None:
-            return self._unavailable(shard)
-        status, response_headers, raw, _ = response
-        status, decoded, extra = self._decode_proxied(status,
-                                                      response_headers, raw)
-        if isinstance(decoded, dict):
-            decoded["shard"] = shard
-            if suffix == "/trace" and status == 200:
-                self._reroot_trace(job_id, shard, decoded)
-        return status, decoded, extra
+        return self._proxied_reply(shard, response)
+
+    _job_result = _job_status  # the owning shard builds the result itself
+
+    async def _job_trace(self, request: Request) -> tuple[int, object, dict]:
+        status, payload, extra = await self._job_status(request)
+        if status == 200 and isinstance(payload, dict):
+            self._reroot_trace(request.job_id, payload["shard"], payload)
+        return status, payload, extra
 
     def _reroot_trace(self, job_id: str, shard: int, payload: dict) -> None:
         """Wrap the worker's span tree under the dispatcher's dispatch span.
@@ -476,22 +443,13 @@ class ClusterDispatcher:
         payload["trace"] = dispatch_span
         payload["rendered"] = render_trace(dispatch_span)
 
-    async def _list_jobs(self) -> tuple[int, dict, dict]:
+    async def _list_jobs(self, request: Request) -> tuple[int, dict, dict]:
         """Fan out ``GET /v1/jobs`` and merge, tagging each job's shard."""
+        per_shard = await self._gather_worker_json("GET", "/v1/jobs",
+                                                   timeout=10.0)
         merged: list[dict] = []
-        for shard, handle in sorted(self.workers.items()):
-            response = await self._fetch_worker(handle, "GET", "/v1/jobs",
-                                                timeout=10.0)
-            if response is None:
-                continue
-            status, _, body = response
-            if status != 200:
-                continue
-            try:
-                jobs = json.loads(body).get("jobs", [])
-            except ValueError:  # pragma: no cover - defensive
-                continue
-            for job in jobs:
+        for shard, listing in per_shard.items():
+            for job in (listing or {}).get("jobs", []):
                 job["shard"] = shard
                 merged.append(job)
         return 200, protocol.envelope(jobs=merged), {}
@@ -519,10 +477,7 @@ class ClusterDispatcher:
                                        in sorted(self.workers.items())))
         return dict(pairs)
 
-    async def _gather_worker_stats(self) -> dict[int, dict | None]:
-        return await self._gather_worker_json("GET", "/v1/stats")
-
-    async def _slo_payload(self) -> tuple[int, dict, dict]:
+    async def _slo(self, request: Request) -> tuple[int, dict, dict]:
         """``/v1/slo``: per-shard statuses plus the true fleet merge.
 
         Shard trackers ship their raw windowed bucket counts, so the fleet
@@ -536,32 +491,14 @@ class ClusterDispatcher:
             shards={str(shard): status
                     for shard, status in per_shard.items()}), {}
 
-    def _events_payload(self, query: dict) -> tuple[int, dict, dict]:
-        """``/v1/events``: the dispatcher's own control-plane narrative.
-
-        Worker-side job events live on each shard (``/v1/events`` against
-        the worker, or the shared ``events_dir`` files); this stream is the
-        fleet-level story -- restarts, disables, drains, rejections.
-        """
-        limit = int(protocol.numeric_param(query, "limit", 50,
-                                           minimum=1, maximum=1000))
-        level = query.get("level") or None
-        if level is not None and level not in LEVELS:
-            raise protocol.ProtocolError(
-                f"unknown level {level!r}; pick one of {sorted(LEVELS)}")
-        events = self.event_log.tail(limit=limit, level=level,
-                                     event=query.get("event") or None)
-        return 200, protocol.envelope(
-            events=events, counts=self.event_log.counts_by_level(),
-            dropped=self.event_log.dropped), {}
-
-    async def _profile(self, query: dict) -> tuple[int, object, dict]:
+    async def _profile(self, request: Request) -> tuple[int, object, dict]:
         """``POST /v1/admin/profile``: one shard (``?shard=K``) or the fleet.
 
         The fleet form profiles every live worker *and* the dispatcher
         process concurrently for the same window, so one call answers
         "where is the whole deployment spending its seconds?".
         """
+        query = request.query
         seconds = protocol.numeric_param(
             query, "seconds", 1.0, minimum=0.05,
             maximum=obs_profiler.MAX_PROFILE_SECONDS)
@@ -581,14 +518,7 @@ class ClusterDispatcher:
                     f"unknown shard {shard}"), {}
             response = await self._proxy(shard, "POST", path,
                                          timeout=fetch_timeout)
-            if response is None:
-                return self._unavailable(shard)
-            status, response_headers, raw, _ = response
-            status, decoded, extra = self._decode_proxied(
-                status, response_headers, raw)
-            if isinstance(decoded, dict):
-                decoded["shard"] = shard
-            return status, decoded, extra
+            return self._proxied_reply(shard, response)
         loop = asyncio.get_running_loop()
         self.event_log.emit("profile-start", seconds=seconds, shard="*")
         own, per_shard = await asyncio.gather(
@@ -615,7 +545,7 @@ class ClusterDispatcher:
         workers = [handle.describe() for _, handle
                    in sorted(self.workers.items())]
         return {
-            "uptime": round(time.monotonic() - self._started, 3),
+            "uptime": self.uptime,
             "draining": self._draining,
             "workers": len(self.workers),
             "workers_alive": sum(1 for worker in workers if worker["alive"]),
@@ -626,8 +556,8 @@ class ClusterDispatcher:
             "worker_detail": workers,
         }
 
-    async def _stats_payload(self) -> dict:
-        per_shard = await self._gather_worker_stats()
+    async def _stats(self, request: Request) -> tuple[int, dict, dict]:
+        per_shard = await self._gather_worker_json("GET", "/v1/stats")
         totals = {"jobs_open": 0, "jobs_known": 0, "throughput": 0.0,
                   "gateway": {}, "telemetry": {}, "cache": {}}
         cache_totals: dict[str, float] = {}
@@ -657,12 +587,9 @@ class ClusterDispatcher:
                        else value)
                 for name, value in cache_totals.items() if name != "hit_rate"}
         totals["throughput"] = round(totals["throughput"], 4)
-        return {
-            "fleet": self._fleet_section(),
-            "totals": totals,
-            "shards": {str(shard): stats
-                       for shard, stats in per_shard.items()},
-        }
+        return 200, protocol.envelope(
+            fleet=self._fleet_section(), totals=totals,
+            shards={str(shard): stats for shard, stats in per_shard.items()}), {}
 
     _FLEET_COUNTER_HELP = {
         "requests": "HTTP requests handled by this shard",
@@ -675,7 +602,7 @@ class ClusterDispatcher:
         "records_pruned": "Finished job records evicted from memory",
     }
 
-    async def _metrics_text(self) -> str:
+    async def _metrics_text(self, request: Request) -> tuple[int, str, dict]:
         """The fleet ``/metrics``: dispatcher instruments + per-shard mirrors."""
         from repro import __version__
 
@@ -686,8 +613,7 @@ class ClusterDispatcher:
             wire_version=str(protocol.WIRE_VERSION),
             workers=str(len(self.workers)))
         registry.gauge("repro_cluster_uptime_seconds",
-                       "Seconds since the dispatcher started").set(
-            round(time.monotonic() - self._started, 3))
+                       "Seconds since the dispatcher started").set(self.uptime)
         registry.gauge("repro_cluster_draining",
                        "Whether a fleet drain is in progress").set(
             int(self._draining))
@@ -714,7 +640,7 @@ class ClusterDispatcher:
         for reason in ("quota", "backpressure"):
             rejected.set_total(admission[f"rejected_{reason}"], reason=reason)
         per_shard, slo_statuses = await asyncio.gather(
-            self._gather_worker_stats(),
+            self._gather_worker_json("GET", "/v1/stats"),
             self._gather_worker_json("GET", "/v1/slo"))
         alive_gauge = registry.gauge("repro_fleet_worker_up",
                                      "Whether each shard answered /v1/stats")
@@ -754,154 +680,26 @@ class ClusterDispatcher:
             "Dispatcher operational events emitted, by level")
         for level, count in sorted(self.event_log.counts_by_level().items()):
             emitted.set_total(count, level=level)
-        return registry.render(first=("repro_cluster_info",))
+        return 200, registry.render(first=("repro_cluster_info",)), {}
 
-    # --------------------------------------------------------------- HTTP layer
+    async def _cluster(self, request: Request) -> tuple[int, dict, dict]:
+        return 200, protocol.envelope(
+            fleet=self._fleet_section(),
+            ring={"replicas": self.config.ring_replicas,
+                  "shards": self.ring.shards}), {}
 
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.create_task(self._handle_connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
+    async def _drain(self, request: Request) -> tuple[int, dict, dict]:
+        self.initiate_drain()
+        return 200, protocol.envelope(draining=True,
+                                      workers=len(self.workers)), {}
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "unknown"
-        try:
-            try:
-                request = await asyncio.wait_for(http.read_request(reader),
-                                                 http.READ_TIMEOUT)
-            except protocol.ProtocolError as error:
-                self.counters["bad_requests"] += 1
-                request = None
-                status = error.http_status
-                payload, extra = protocol.error_payload(str(error)), {}
-            else:
-                if request is None:
-                    return
-            if request is not None:
-                method, path, query, headers, body = request
-                self.counters["requests"] += 1
-                try:
-                    status, payload, extra = await self._dispatch(
-                        method, path, query, headers, body, peer)
-                except protocol.ProtocolError as error:
-                    self.counters["bad_requests"] += 1
-                    status = error.http_status
-                    payload, extra = protocol.error_payload(str(error)), {}
-                except Exception as error:  # never leak a traceback
-                    status, extra = 500, {}
-                    payload = protocol.error_payload(
-                        f"internal error: {error!r}")
-            if isinstance(payload, str):
-                await http.write_response(writer, status, payload.encode(),
-                                          "text/plain; charset=utf-8", extra)
-            else:
-                body_bytes = json.dumps(payload, sort_keys=True).encode()
-                await http.write_response(writer, status, body_bytes,
-                                          "application/json", extra)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError):
-            pass  # client went away; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    @staticmethod
-    def _json_body(body: bytes) -> dict:
-        if not body:
-            return {}
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise protocol.ProtocolError(
-                "request body is not valid JSON") from None
-        if not isinstance(payload, dict):
-            raise protocol.ProtocolError("request body must be a JSON object")
-        return payload
-
-    async def _dispatch(self, method: str, path: str, query: dict,
-                        headers: dict, body: bytes, peer: str):
-        if path == "/healthz" and method == "GET":
-            from repro import __version__
-            return 200, protocol.envelope(
-                status="draining" if self._draining else "ok",
-                role="dispatcher", version=__version__,
-                workers=len(self.workers),
-                workers_alive=sum(1 for handle in self.workers.values()
-                                  if handle.alive()),
-                uptime=round(time.monotonic() - self._started, 3)), {}
-        if path == "/v1/cluster" and method == "GET":
-            return 200, protocol.envelope(
-                fleet=self._fleet_section(),
-                ring={"replicas": self.config.ring_replicas,
-                      "shards": self.ring.shards}), {}
-        if path == "/metrics" and method == "GET":
-            return 200, await self._metrics_text(), {}
-        if path == "/v1/routers" and method == "GET":
-            return 200, protocol.envelope(
-                routers=describe_routers(query.get("capability"))), {}
-        if path == "/v1/devices" and method == "GET":
-            return 200, protocol.envelope(
-                devices=device_records(),
-                architectures=sorted(self.architectures)), {}
-        if path == "/v1/stats" and method == "GET":
-            return 200, protocol.envelope(await self._stats_payload()), {}
-        if path == "/v1/slo" and method == "GET":
-            return await self._slo_payload()
-        if path == "/v1/events" and method == "GET":
-            return self._events_payload(query)
-        if path == "/v1/admin/profile" and method == "POST":
-            return await self._profile(query)
-        if path == "/v1/jobs" and method == "POST":
-            return await self._submit(headers, body, peer)
-        if path == "/v1/jobs" and method == "GET":
-            return await self._list_jobs()
-        if path.startswith("/v1/jobs/") and method == "GET":
-            job_id = path[len("/v1/jobs/"):]
-            suffix = ""
-            for candidate in ("/result", "/trace"):
-                if job_id.endswith(candidate):
-                    suffix = candidate
-                    job_id = job_id[:-len(candidate)]
-                    break
-            return await self._job_request(job_id, suffix, query)
-        if path == "/v1/admin/drain" and method == "POST":
-            self.initiate_drain()
-            return 200, protocol.envelope(draining=True,
-                                          workers=len(self.workers)), {}
-        return 404, protocol.error_payload(
-            f"no such endpoint: {method} {path}"), {}
+    def _health_fields(self) -> dict:
+        return {"role": "dispatcher", "workers": len(self.workers),
+                "workers_alive": sum(1 for handle in self.workers.values()
+                                     if handle.alive())}
 
 
-async def serve_fleet(dispatcher: ClusterDispatcher,
-                      install_signal_handlers: bool = True,
-                      on_started=None) -> None:
-    """Start the fleet and block until it has drained and closed.
-
-    The fleet analogue of :func:`repro.server.app.serve`: SIGTERM/SIGINT
-    trigger a fleet-wide drain (every worker finishes its queue best-so-far
-    before the dispatcher closes).  ``on_started`` is called with the
-    dispatcher once the public port is bound.
-    """
-    await dispatcher.start()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, dispatcher.initiate_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-POSIX platforms / non-main threads
-    if on_started is not None:
-        on_started(dispatcher)
-    await dispatcher.wait_closed()
-
-
-class FleetThread:
+class FleetThread(ServerThread):
     """Run a dispatcher fleet on a daemon thread: tests, examples, benches.
 
     Usage::
@@ -914,75 +712,14 @@ class FleetThread:
     joins the thread.
     """
 
+    #: Seconds :meth:`start` waits for the whole fleet (N worker
+    #: handshakes) before giving up.
+    startup_timeout = 120.0
+    stop_timeout = 120.0
+
     def __init__(self, config: FleetConfig, **dispatcher_kwargs) -> None:
-        self._config = config
-        self._kwargs = dispatcher_kwargs
-        self.dispatcher: ClusterDispatcher | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._main())
-        finally:
-            self._loop.close()
-
-    async def _main(self) -> None:
-        try:
-            self.dispatcher = ClusterDispatcher(self._config, **self._kwargs)
-            await self.dispatcher.start()
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            raise
-        self._ready.set()
-        await self.dispatcher.wait_closed()
-
-    def start(self) -> "FleetThread":
-        self._thread.start()
-        self._ready.wait(timeout=STARTUP_JOIN_TIMEOUT)
-        if self._startup_error is not None:
-            raise RuntimeError("fleet failed to start") from self._startup_error
-        if self.dispatcher is None:
-            raise RuntimeError(
-                f"fleet did not start within {STARTUP_JOIN_TIMEOUT:.0f}s")
-        return self
+        super().__init__(lambda: ClusterDispatcher(config, **dispatcher_kwargs))
 
     @property
-    def host(self) -> str:
-        assert self.dispatcher is not None
-        return self.dispatcher.host
-
-    @property
-    def port(self) -> int:
-        assert self.dispatcher is not None
-        return self.dispatcher.port
-
-    @property
-    def url(self) -> str:
-        assert self.dispatcher is not None
-        return self.dispatcher.url
-
-    def stop(self, timeout: float = 120.0) -> None:
-        if self._loop is not None and self.dispatcher is not None \
-                and self._thread.is_alive():
-            try:
-                self._loop.call_soon_threadsafe(self.dispatcher.initiate_drain)
-            except RuntimeError:
-                pass  # the loop closed between is_alive() and the call
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "FleetThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-#: Seconds FleetThread.start waits for the whole fleet (N worker
-#: handshakes) before giving up.
-STARTUP_JOIN_TIMEOUT = 120.0
+    def dispatcher(self) -> ClusterDispatcher | None:
+        return self.front

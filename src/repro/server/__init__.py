@@ -10,9 +10,13 @@ live in the same Python process:
   deduplicate into one solve;
 * :mod:`repro.server.admission` -- token-bucket quotas per client plus a
   global pending-work bound; overload degrades to 429 + ``Retry-After``;
-* :mod:`repro.server.app` -- the stdlib asyncio JSON-over-HTTP gateway:
-  submit / poll / long-poll / fetch-result job lifecycle, registry and
-  device listings, ``/metrics``, and graceful drain on SIGTERM;
+* :mod:`repro.server.http` -- the one stdlib asyncio HTTP front the
+  gateway and the fleet dispatcher share: connection handling, JSON body
+  parsing, the route table, the shared endpoints, :func:`serve` (graceful
+  drain on SIGTERM) and the daemon-thread runner;
+* :mod:`repro.server.app` -- the gateway's own handlers on that front:
+  submit / poll / long-poll / fetch-result job lifecycle, ``/metrics``,
+  ``/v1/stats`` and drain;
 * :mod:`repro.server.client` -- a small blocking :class:`RoutingClient`
   used by ``repro submit``, the examples, and the tests.
 
@@ -27,7 +31,8 @@ Quick round trip (in-process server thread)::
 """
 
 from repro.server.admission import AdmissionController, AdmissionDecision, TokenBucket
-from repro.server.app import GatewayThread, JobRecord, RoutingGateway, serve
+from repro.server.app import GatewayThread, JobRecord, RoutingGateway
+from repro.server.http import serve
 from repro.server.client import QuotaExceededError, RoutingClient, ServerError
 from repro.server.protocol import WIRE_VERSION, ProtocolError
 

@@ -4,9 +4,11 @@
 :class:`~repro.service.BatchRoutingService`: many concurrent clients submit
 routing jobs, identical submissions deduplicate into one solve, admission
 control sheds overload with 429s, and a metrics endpoint exposes the
-service's telemetry.  Everything is stdlib: the HTTP layer is a small
-HTTP/1.1 reader/writer over ``asyncio.start_server`` (one request per
-connection, ``Connection: close``), which is all a JSON API needs.
+service's telemetry.  The HTTP layer -- connection handling, body parsing,
+the route table, ``/healthz``, ``/v1/routers``, ``/v1/devices`` and
+``/v1/events`` -- is the :class:`~repro.server.http.HttpFront` it shares
+with the fleet dispatcher; this module holds the gateway's own state (jobs,
+their queue, the service) and its handlers.
 
 Endpoints (wire schemas in :mod:`repro.server.protocol`):
 
@@ -48,30 +50,23 @@ served while that happens, and only then does the server close.
 from __future__ import annotations
 
 import asyncio
-import json
-import signal
-import threading
 import time
 from dataclasses import dataclass, field
 
-from repro.api.registry import describe_routers
 from repro.core.result import RoutingResult
-from repro.hardware.devices import device_records, named_architectures
+from repro.hardware.devices import named_architectures
 from repro.obs import render_trace
 from repro.obs import profiler as obs_profiler
-from repro.obs.events import EventLog, LEVELS
+from repro.obs.events import EventLog
 from repro.obs.export import JsonlTraceWriter
 from repro.obs.sampling import TailSampler
 from repro.obs.slo import SloTracker, mirror_slo
-from repro.server import http, protocol
+from repro.server import protocol
 from repro.server.admission import AdmissionController
+# ``serve`` is part of this module's public surface (``repro.server.serve``).
+from repro.server.http import HttpFront, Request, ServerThread, serve
 from repro.service import BatchRoutingService
 from repro.service.jobs import RoutingJob
-
-# Shared with the cluster dispatcher; re-exported for compatibility.
-MAX_BODY_BYTES = http.MAX_BODY_BYTES
-READ_TIMEOUT = http.READ_TIMEOUT
-MAX_HEADERS = http.MAX_HEADERS
 
 
 @dataclass
@@ -113,7 +108,7 @@ class JobRecord:
         return protocol.envelope(payload)
 
 
-class RoutingGateway:
+class RoutingGateway(HttpFront):
     """Serve :class:`BatchRoutingService` over HTTP to concurrent clients.
 
     Parameters
@@ -177,10 +172,9 @@ class RoutingGateway:
                  slo=None, sampler: TailSampler | None = None,
                  event_log: EventLog | None = None,
                  events_dir=None) -> None:
+        super().__init__(host, port)
         self.service = service if service is not None else BatchRoutingService()
         self._owns_service = service is None
-        self.host = host
-        self.port = port
         self.admission = admission if admission is not None else AdmissionController()
         self.time_budget = time_budget
         self.max_batch = max(1, max_batch)
@@ -223,30 +217,15 @@ class RoutingGateway:
             "records_pruned": 0,
         }
         self._open_jobs = 0  # queued + running
-        self._draining = False
-        self._started = time.monotonic()
         self._queue: asyncio.Queue = asyncio.Queue()
-        self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._closed = asyncio.Event()
 
     # ------------------------------------------------------------- lifecycle
 
     async def start(self) -> None:
         """Bind the listening socket and start the dispatcher."""
-        self._server = await asyncio.start_server(self._on_connection,
-                                                  self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def initiate_drain(self) -> None:
         """Begin graceful shutdown (idempotent; call from the loop thread).
@@ -262,18 +241,9 @@ class RoutingGateway:
                             jobs_open=self._open_jobs)
         self._queue.put_nowait(None)  # wake the dispatcher
 
-    async def wait_closed(self) -> None:
-        """Block until a drain has fully completed."""
-        await self._closed.wait()
-
     async def _shutdown(self) -> None:
         """Close the listener, let in-flight responses finish, release workers."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._connections:
-            await asyncio.wait(self._connections,
-                               timeout=self.long_poll_cap + 5.0)
+        await self._close_listener(grace=self.long_poll_cap + 5.0)
         if self._owns_service:
             self.service.close()
         self._closed.set()
@@ -369,9 +339,8 @@ class RoutingGateway:
 
     # ------------------------------------------------------------- endpoints
 
-    async def _submit(self, headers: dict, payload: dict,
-                      peer: str) -> tuple[int, dict, dict]:
-        client_id = headers.get("x-client-id") or peer
+    async def _submit(self, request: Request) -> tuple[int, dict, dict]:
+        client_id = request.headers.get("x-client-id") or request.peer
         submit_started = time.time()
         if self._draining:
             self.counters["rejected_draining"] += 1
@@ -390,7 +359,7 @@ class RoutingGateway:
         def parse_and_key():
             # QASM parsing, canonicalisation, and the SHA-256 content hash
             # can burn real CPU on large circuits -- off the loop thread.
-            job = protocol.parse_submit(payload, self.architectures)
+            job = protocol.parse_submit(request.payload, self.architectures)
             return job, self.service.job_key(job, self.time_budget)
 
         loop = asyncio.get_running_loop()
@@ -436,33 +405,34 @@ class RoutingGateway:
         body["deduplicated"] = False
         return 202, body, {}
 
-    async def _job_status(self, job_id: str, query: dict) -> tuple[int, dict, dict]:
-        record = self.jobs.get(job_id)
+    async def _list_jobs(self, request: Request) -> tuple[int, dict, dict]:
+        summaries = [record.status_payload() for record in self.jobs.values()]
+        return 200, protocol.envelope(jobs=summaries), {}
+
+    async def _job_status(self, request: Request) -> tuple[int, dict, dict]:
+        record = self.jobs.get(request.job_id)
         if record is None:
-            return 404, protocol.error_payload(f"unknown job {job_id!r}"), {}
-        wait = 0.0
-        if "wait" in query:
-            try:
-                wait = max(0.0, float(query["wait"]))
-            except ValueError:
-                raise protocol.ProtocolError("wait must be a number") from None
-        if wait > 0.0 and not record.done.is_set():
+            return 404, protocol.error_payload(
+                f"unknown job {request.job_id!r}"), {}
+        if request.wait > 0.0 and not record.done.is_set():
             try:
                 await asyncio.wait_for(record.done.wait(),
-                                       min(wait, self.long_poll_cap))
+                                       min(request.wait, self.long_poll_cap))
             except asyncio.TimeoutError:
                 pass
         # ``include_result`` lets a long-poll carry the result home on the
         # same connection -- essential during a drain, when the listener may
         # close before a follow-up fetch could connect.
-        include_result = query.get("include_result", "") in ("1", "true", "yes")
+        include_result = request.query.get("include_result", "") in (
+            "1", "true", "yes")
         return 200, record.status_payload(include_result=include_result), {}
 
-    def _job_trace(self, job_id: str) -> tuple[int, dict, dict]:
+    async def _job_trace(self, request: Request) -> tuple[int, dict, dict]:
         """The job's span tree (finished or in flight) plus a rendered form."""
-        record = self.jobs.get(job_id)
+        record = self.jobs.get(request.job_id)
         if record is None:
-            return 404, protocol.error_payload(f"unknown job {job_id!r}"), {}
+            return 404, protocol.error_payload(
+                f"unknown job {request.job_id!r}"), {}
         if self.tracer is None or record.trace_id is None:
             return 404, protocol.error_payload(
                 "tracing is disabled for this job"), {}
@@ -471,26 +441,28 @@ class RoutingGateway:
             return 404, protocol.error_payload(
                 "trace evicted from the in-memory store"), {}
         tree = root.to_dict()
-        return 200, protocol.envelope(job_id=job_id, status=record.status,
+        return 200, protocol.envelope(job_id=request.job_id,
+                                      status=record.status,
                                       trace=tree,
                                       rendered=render_trace(tree)), {}
 
-    def _job_result(self, job_id: str) -> tuple[int, dict, dict]:
-        record = self.jobs.get(job_id)
+    async def _job_result(self, request: Request) -> tuple[int, dict, dict]:
+        record = self.jobs.get(request.job_id)
         if record is None:
-            return 404, protocol.error_payload(f"unknown job {job_id!r}"), {}
+            return 404, protocol.error_payload(
+                f"unknown job {request.job_id!r}"), {}
         if record.status != "done":
             return 409, protocol.error_payload(
                 "job not finished", status=record.status), {}
         return 200, record.status_payload(include_result=True), {}
 
-    def _stats_payload(self) -> dict:
+    async def _stats(self, request: Request) -> tuple[int, dict, dict]:
         telemetry = self.service.telemetry
         # dict() snapshots are atomic under the GIL; the executor thread
         # mutates these counters while we serialise them.
         telemetry_counters = dict(telemetry.counters)
         stats = {
-            "uptime": round(time.monotonic() - self._started, 3),
+            "uptime": self.uptime,
             "draining": self._draining,
             "jobs_open": self._open_jobs,
             "jobs_known": len(self.jobs),
@@ -504,28 +476,15 @@ class RoutingGateway:
         if self.service.cache is not None:
             stats["cache"] = self.service.cache.stats()
         stats["events"] = self.event_log.counts_by_level()
-        return stats
+        return 200, protocol.envelope(stats), {}
 
-    def _slo_payload(self) -> tuple[int, dict, dict]:
+    async def _slo(self, request: Request) -> tuple[int, dict, dict]:
         if self.slo is None:
             return 404, protocol.error_payload(
                 "SLO tracking is disabled on this server"), {}
         return 200, protocol.envelope(self.slo.status()), {}
 
-    def _events_payload(self, query: dict) -> tuple[int, dict, dict]:
-        limit = int(protocol.numeric_param(query, "limit", 50,
-                                           minimum=1, maximum=1000))
-        level = query.get("level") or None
-        if level is not None and level not in LEVELS:
-            raise protocol.ProtocolError(
-                f"unknown level {level!r}; pick one of {sorted(LEVELS)}")
-        events = self.event_log.tail(limit=limit, level=level,
-                                     event=query.get("event") or None)
-        return 200, protocol.envelope(
-            events=events, counts=self.event_log.counts_by_level(),
-            dropped=self.event_log.dropped), {}
-
-    async def _profile(self, query: dict) -> tuple[int, dict, dict]:
+    async def _profile(self, request: Request) -> tuple[int, dict, dict]:
         """``POST /v1/admin/profile?seconds=N``: sample every thread's stack.
 
         The profiler blocks for the sampling window, so it runs on an
@@ -534,9 +493,9 @@ class RoutingGateway:
         stacks name SAT-core frames directly.
         """
         seconds = protocol.numeric_param(
-            query, "seconds", 1.0, minimum=0.05,
+            request.query, "seconds", 1.0, minimum=0.05,
             maximum=obs_profiler.MAX_PROFILE_SECONDS)
-        interval = protocol.numeric_param(query, "interval", 0.005,
+        interval = protocol.numeric_param(request.query, "interval", 0.005,
                                           minimum=0.001, maximum=0.1)
         self.event_log.emit("profile-start", seconds=seconds,
                             interval=interval)
@@ -544,6 +503,11 @@ class RoutingGateway:
         report = await loop.run_in_executor(
             None, lambda: obs_profiler.profile(seconds, interval=interval))
         return 200, protocol.envelope(report), {}
+
+    async def _drain(self, request: Request) -> tuple[int, dict, dict]:
+        self.initiate_drain()
+        return 200, protocol.envelope(draining=True,
+                                      jobs_open=self._open_jobs), {}
 
     _COUNTER_HELP = {
         "requests": "HTTP requests handled",
@@ -556,7 +520,7 @@ class RoutingGateway:
         "records_pruned": "Finished job records evicted from memory",
     }
 
-    def _metrics_text(self) -> str:
+    async def _metrics_text(self, request: Request) -> tuple[int, str, dict]:
         """The /metrics scrape: registry-driven Prometheus text exposition.
 
         Gateway counters, admission stats, telemetry event counts, and cache
@@ -573,8 +537,7 @@ class RoutingGateway:
         info.set(1, version=__version__,
                  wire_version=str(protocol.WIRE_VERSION))
         registry.gauge("repro_server_uptime_seconds",
-                       "Seconds since the gateway started").set(
-            round(time.monotonic() - self._started, 3))
+                       "Seconds since the gateway started").set(self.uptime)
         registry.gauge("repro_server_draining",
                        "Whether a graceful drain is in progress").set(
             int(self._draining))
@@ -628,157 +591,10 @@ class RoutingGateway:
             "Structured operational events emitted, by level")
         for level, count in sorted(self.event_log.counts_by_level().items()):
             emitted.set_total(count, level=level)
-        return registry.render(first=("repro_server_info",))
-
-    # ------------------------------------------------------------ HTTP layer
-
-    def _on_connection(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.create_task(self._handle_connection(reader, writer))
-        self._connections.add(task)
-        task.add_done_callback(self._connections.discard)
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "unknown"
-        try:
-            try:
-                request = await asyncio.wait_for(self._read_request(reader),
-                                                 READ_TIMEOUT)
-            except protocol.ProtocolError as error:
-                # Malformed before dispatch (bad request line, oversized or
-                # negative Content-Length): still owed an HTTP error reply.
-                self.counters["bad_requests"] += 1
-                request = None
-                status = error.http_status
-                payload, extra = protocol.error_payload(str(error)), {}
-            else:
-                if request is None:
-                    return
-            if request is not None:
-                method, path, query, headers, body = request
-                self.counters["requests"] += 1
-                try:
-                    status, payload, extra = await self._dispatch(
-                        method, path, query, headers, body, peer)
-                except protocol.ProtocolError as error:
-                    self.counters["bad_requests"] += 1
-                    status = error.http_status
-                    payload, extra = protocol.error_payload(str(error)), {}
-                except Exception as error:  # never leak a traceback to the wire
-                    status, extra = 500, {}
-                    payload = protocol.error_payload(f"internal error: {error!r}")
-            if isinstance(payload, str):
-                await self._write_response(writer, status, payload.encode(),
-                                           "text/plain; charset=utf-8", extra)
-            else:
-                body_bytes = json.dumps(payload, sort_keys=True).encode()
-                await self._write_response(writer, status, body_bytes,
-                                           "application/json", extra)
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
-                ConnectionError):
-            pass  # client went away; nothing to answer
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-    async def _read_request(self, reader: asyncio.StreamReader):
-        return await http.read_request(reader)
-
-    @staticmethod
-    def _json_body(body: bytes) -> dict:
-        if not body:
-            return {}
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            raise protocol.ProtocolError("request body is not valid JSON") from None
-        if not isinstance(payload, dict):
-            raise protocol.ProtocolError("request body must be a JSON object")
-        return payload
-
-    async def _dispatch(self, method: str, path: str, query: dict,
-                        headers: dict, body: bytes, peer: str):
-        if path == "/healthz" and method == "GET":
-            from repro import __version__
-            return 200, protocol.envelope(
-                status="draining" if self._draining else "ok",
-                version=__version__, uptime=round(time.monotonic()
-                                                  - self._started, 3)), {}
-        if path == "/metrics" and method == "GET":
-            return 200, self._metrics_text(), {}
-        if path == "/v1/routers" and method == "GET":
-            return 200, protocol.envelope(
-                routers=describe_routers(query.get("capability"))), {}
-        if path == "/v1/devices" and method == "GET":
-            return 200, protocol.envelope(
-                devices=device_records(),
-                architectures=sorted(self.architectures)), {}
-        if path == "/v1/stats" and method == "GET":
-            return 200, protocol.envelope(self._stats_payload()), {}
-        if path == "/v1/slo" and method == "GET":
-            return self._slo_payload()
-        if path == "/v1/events" and method == "GET":
-            return self._events_payload(query)
-        if path == "/v1/admin/profile" and method == "POST":
-            return await self._profile(query)
-        if path == "/v1/jobs" and method == "POST":
-            return await self._submit(headers, self._json_body(body), peer)
-        if path == "/v1/jobs" and method == "GET":
-            summaries = [record.status_payload()
-                         for record in self.jobs.values()]
-            return 200, protocol.envelope(jobs=summaries), {}
-        if path.startswith("/v1/jobs/") and method == "GET":
-            job_id = path[len("/v1/jobs/"):]
-            if job_id.endswith("/result"):
-                return self._job_result(job_id[:-len("/result")])
-            if job_id.endswith("/trace"):
-                return self._job_trace(job_id[:-len("/trace")])
-            return await self._job_status(job_id, query)
-        if path == "/v1/admin/drain" and method == "POST":
-            self.initiate_drain()
-            return 200, protocol.envelope(draining=True,
-                                          jobs_open=self._open_jobs), {}
-        return 404, protocol.error_payload(f"no such endpoint: "
-                                           f"{method} {path}"), {}
-
-    async def _write_response(self, writer: asyncio.StreamWriter, status: int,
-                              body: bytes, content_type: str,
-                              extra_headers: dict) -> None:
-        await http.write_response(writer, status, body, content_type,
-                                  extra_headers)
+        return 200, registry.render(first=("repro_server_info",)), {}
 
 
-async def serve(gateway: RoutingGateway,
-                install_signal_handlers: bool = True,
-                on_started=None) -> None:
-    """Start ``gateway`` and block until it has drained and closed.
-
-    With ``install_signal_handlers`` (the default, used by ``repro serve``)
-    SIGTERM and SIGINT trigger :meth:`RoutingGateway.initiate_drain`, so a
-    ^C or an orchestrator's stop signal finishes in-flight jobs -- best-so-far
-    within their budgets -- before the process exits.  ``on_started`` is
-    called with the gateway once the port is bound (the CLI prints its
-    listening line there).
-    """
-    await gateway.start()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, gateway.initiate_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-POSIX platforms
-    if on_started is not None:
-        on_started(gateway)
-    await gateway.wait_closed()
-
-
-class GatewayThread:
+class GatewayThread(ServerThread):
     """Run a gateway on a daemon thread: tests, examples, and benchmarks.
 
     Usage::
@@ -792,68 +608,8 @@ class GatewayThread:
     """
 
     def __init__(self, **gateway_kwargs) -> None:
-        self._kwargs = gateway_kwargs
-        self.gateway: RoutingGateway | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        try:
-            self._loop.run_until_complete(self._main())
-        finally:
-            self._loop.close()
-
-    async def _main(self) -> None:
-        try:
-            self.gateway = RoutingGateway(**self._kwargs)
-            await self.gateway.start()
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            raise
-        self._ready.set()
-        await self.gateway.wait_closed()
-
-    def start(self) -> "GatewayThread":
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise RuntimeError("gateway failed to start") from self._startup_error
-        if self.gateway is None:
-            raise RuntimeError("gateway did not start within 10s")
-        return self
+        super().__init__(lambda: RoutingGateway(**gateway_kwargs))
 
     @property
-    def host(self) -> str:
-        assert self.gateway is not None
-        return self.gateway.host
-
-    @property
-    def port(self) -> int:
-        assert self.gateway is not None
-        return self.gateway.port
-
-    @property
-    def url(self) -> str:
-        assert self.gateway is not None
-        return self.gateway.url
-
-    def stop(self, timeout: float = 60.0) -> None:
-        """Drain the gateway and join its thread."""
-        if self._loop is not None and self.gateway is not None \
-                and self._thread.is_alive():
-            try:
-                self._loop.call_soon_threadsafe(self.gateway.initiate_drain)
-            except RuntimeError:
-                pass  # the loop closed between is_alive() and the call
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "GatewayThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    def gateway(self) -> RoutingGateway | None:
+        return self.front

@@ -1,25 +1,30 @@
-"""Minimal HTTP/1.1 plumbing shared by the gateway and the cluster dispatcher.
+"""The one HTTP front shared by the gateway and the cluster dispatcher.
 
 One request per connection, ``Connection: close``, bodies framed by
-``Content-Length`` -- all a JSON API needs, and all stdlib.  Three pieces:
-
-* :func:`read_request` -- parse one request off an ``asyncio.StreamReader``
-  (request line, headers, body, split query string).
-* :func:`write_response` -- serialise one response onto a StreamWriter.
-* :func:`fetch` -- a tiny *client*: open a connection, send one request,
-  read the full response.  This is how the cluster dispatcher
-  (:mod:`repro.cluster.dispatcher`) proxies submissions to its shard
-  workers without leaving the event loop.
-
-Extracted from :mod:`repro.server.app` so the dispatcher front-end speaks
-byte-identical HTTP to the single-process gateway.
+``Content-Length`` -- all a JSON API needs, and all stdlib.
+:class:`~repro.server.app.RoutingGateway` and
+:class:`~repro.cluster.dispatcher.ClusterDispatcher` are each an
+:class:`HttpFront` -- connection handling, request parsing, one route
+table, the shared endpoints -- plus their own state and handlers.
+:func:`serve` runs a front until it drains (``repro serve``, shard worker
+processes); :class:`ServerThread` runs one on a daemon thread.
+:func:`fetch` is the tiny client the dispatcher proxies to its shard
+workers with, without leaving the event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import signal
+import threading
+import time
 import urllib.parse
+from dataclasses import dataclass
 
+from repro.api.registry import describe_routers
+from repro.hardware.devices import device_records
+from repro.obs.events import LEVELS
 from repro.server import protocol
 
 #: Hard cap on request body size (canonical QASM for big circuits is ~1 MB).
@@ -28,7 +33,11 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 READ_TIMEOUT = 30.0
 #: Most header lines accepted per request.
 MAX_HEADERS = 100
+#: The route every ``/v1/jobs/<id>`` path maps onto; ``/result`` and
+#: ``/trace`` lookups append their suffix to it.
+JOB_ROUTE = "/v1/jobs/<id>"
 
+_JOB_PREFIX = "/v1/jobs/"
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 409: "Conflict", 413: "Payload Too Large",
             429: "Too Many Requests", 500: "Internal Server Error",
@@ -82,9 +91,17 @@ async def read_request(reader: asyncio.StreamReader):
 
 
 async def write_response(writer: asyncio.StreamWriter, status: int,
-                         body: bytes, content_type: str,
-                         extra_headers: dict) -> None:
-    """Send one ``Connection: close`` response and flush it."""
+                         payload, extra_headers: dict) -> None:
+    """Send one ``Connection: close`` reply and flush it.
+
+    ``payload`` is a JSON object (sent as ``application/json``) or text
+    (the Prometheus ``/metrics`` document).
+    """
+    if isinstance(payload, str):
+        body, content_type = payload.encode(), "text/plain; charset=utf-8"
+    else:
+        body = json.dumps(payload, sort_keys=True).encode()
+        content_type = "application/json"
     head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
@@ -93,6 +110,343 @@ async def write_response(writer: asyncio.StreamWriter, status: int,
         head.append(f"{name}: {value}")
     writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
     await writer.drain()
+
+
+def parse_json_body(body: bytes) -> dict:
+    """A request body as a JSON object; an empty body is ``{}``."""
+    if not body:
+        return {}
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        raise protocol.ProtocolError("request body is not valid JSON") from None
+    if not isinstance(payload, dict):
+        raise protocol.ProtocolError("request body must be a JSON object")
+    return payload
+
+
+def route_of(method: str, path: str) -> tuple[tuple[str, str], str | None]:
+    """The ``(method, route)`` routing key of a path, plus its job id.
+
+    ``/v1/jobs/<id>``, ``/v1/jobs/<id>/result`` and ``/v1/jobs/<id>/trace``
+    map onto :data:`JOB_ROUTE` (with the suffix); every other path is its
+    own route and has no job id.
+    """
+    if not path.startswith(_JOB_PREFIX):
+        return (method, path), None
+    job_id = path[len(_JOB_PREFIX):]
+    for suffix in ("/result", "/trace"):
+        if job_id.endswith(suffix):
+            return (method, JOB_ROUTE + suffix), job_id[:-len(suffix)]
+    return (method, JOB_ROUTE), job_id
+
+
+@dataclass
+class Request:
+    """One routed request, as every handler receives it."""
+
+    path: str
+    query: dict
+    headers: dict
+    #: The raw body, for fronts that forward it unchanged.
+    body: bytes
+    #: The body parsed as a JSON object (``{}`` when empty).
+    payload: dict
+    #: ``host:port`` of the client, the admission key without a client id.
+    peer: str
+    #: The ``<id>`` of a ``/v1/jobs/<id>...`` route.
+    job_id: str | None = None
+    #: A job status long-poll's ``?wait=`` seconds: non-negative, 0 for
+    #: missing/NaN/negative values, not yet capped by the front.
+    wait: float = 0.0
+
+
+class HttpFront:
+    """Connection handling, routing and lifecycle shared by both fronts.
+
+    Every request is read with :data:`READ_TIMEOUT` and counted in
+    ``counters``.  Before any handler runs (and so before admission) the
+    JSON body is parsed, ``/v1/jobs/<id>[/result|/trace]`` is split into
+    its route and job id, and a job status ``?wait=`` is parsed once.  A
+    :class:`~repro.server.protocol.ProtocolError` is answered with its 4xx
+    (and counted in ``bad_requests``), any other exception with a 500 that
+    carries no traceback, an unknown route with a 404.
+
+    A subclass sets ``counters`` (with ``requests`` and ``bad_requests``
+    keys), ``architectures`` and ``event_log``; implements ``start`` (which
+    calls :meth:`_listen`), ``initiate_drain`` (which eventually sets
+    ``_closed``) and the handlers :meth:`_routes` names.  A handler is a
+    coroutine taking a :class:`Request` and returning a ``(status,
+    payload, extra_headers)`` reply, the payload a JSON object or text.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._draining = False
+        self._started = time.monotonic()
+        self._server: asyncio.AbstractServer | None = None
+        self._connections: set[asyncio.Task] = set()
+        self._closed = asyncio.Event()
+        self._route_table = self._routes()
+
+    def _routes(self) -> dict:
+        """The ``(method, route) -> handler`` table this front serves."""
+        return {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/metrics"): self._metrics_text,
+            ("GET", "/v1/routers"): self._routers,
+            ("GET", "/v1/devices"): self._devices,
+            ("GET", "/v1/stats"): self._stats,
+            ("GET", "/v1/slo"): self._slo,
+            ("GET", "/v1/events"): self._events,
+            ("POST", "/v1/admin/profile"): self._profile,
+            ("POST", "/v1/admin/drain"): self._drain,
+            ("POST", "/v1/jobs"): self._submit,
+            ("GET", "/v1/jobs"): self._list_jobs,
+            ("GET", JOB_ROUTE): self._job_status,
+            ("GET", JOB_ROUTE + "/result"): self._job_result,
+            ("GET", JOB_ROUTE + "/trace"): self._job_trace,
+        }
+
+    # ------------------------------------------------------------- lifecycle
+
+    async def _listen(self) -> None:
+        """Bind the listening socket; port 0 becomes the chosen free port."""
+        self._server = await asyncio.start_server(self._on_connection,
+                                                  self.host, self.port)
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def _close_listener(self, grace: float) -> None:
+        """Stop accepting, then give in-flight responses ``grace`` seconds."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+        if self._connections:
+            await asyncio.wait(self._connections, timeout=grace)
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    @property
+    def draining(self) -> bool:
+        return self._draining
+
+    @property
+    def uptime(self) -> float:
+        return round(time.monotonic() - self._started, 3)
+
+    async def wait_closed(self) -> None:
+        """Block until a drain has fully completed."""
+        await self._closed.wait()
+
+    # ----------------------------------------------------------- connections
+
+    def _on_connection(self, reader: asyncio.StreamReader,
+                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.create_task(self._handle_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        peername = writer.get_extra_info("peername")
+        peer = f"{peername[0]}:{peername[1]}" if peername else "unknown"
+        try:
+            try:
+                request = await asyncio.wait_for(read_request(reader),
+                                                 READ_TIMEOUT)
+            except protocol.ProtocolError as error:
+                # Malformed before routing (bad request line, oversized or
+                # negative Content-Length): still owed an HTTP error reply.
+                reply = self._bad_request(error)
+            else:
+                if request is None:
+                    return
+                self.counters["requests"] += 1
+                try:
+                    reply = await self._dispatch(*request, peer)
+                except protocol.ProtocolError as error:
+                    reply = self._bad_request(error)
+                except Exception as error:  # never leak a traceback to the wire
+                    reply = (500, protocol.error_payload(
+                        f"internal error: {error!r}"), {})
+            await write_response(writer, *reply)
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                ConnectionError):
+            pass  # client went away; nothing to answer
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):  # pragma: no cover
+                pass
+
+    def _bad_request(self, error: protocol.ProtocolError):
+        self.counters["bad_requests"] += 1
+        return error.http_status, protocol.error_payload(str(error)), {}
+
+    async def _dispatch(self, method: str, path: str, query: dict,
+                        headers: dict, body: bytes, peer: str):
+        key, job_id = route_of(method, path)
+        handler = self._route_table.get(key)
+        if handler is None:
+            return 404, protocol.error_payload(
+                f"no such endpoint: {method} {path}"), {}
+        wait = 0.0
+        if key == ("GET", JOB_ROUTE):
+            wait = protocol.numeric_param(query, "wait", 0.0, minimum=0.0)
+        request = Request(path=path, query=query, headers=headers, body=body,
+                          payload=parse_json_body(body), peer=peer,
+                          job_id=job_id, wait=wait)
+        return await handler(request)
+
+    # ------------------------------------------------------ shared endpoints
+
+    def _health_fields(self) -> dict:
+        """Front-specific ``/healthz`` fields on top of status/version/uptime."""
+        return {}
+
+    async def _healthz(self, request: Request):
+        from repro import __version__
+
+        return 200, protocol.envelope(
+            status="draining" if self._draining else "ok",
+            version=__version__, uptime=self.uptime,
+            **self._health_fields()), {}
+
+    async def _routers(self, request: Request):
+        return 200, protocol.envelope(
+            routers=describe_routers(request.query.get("capability"))), {}
+
+    async def _devices(self, request: Request):
+        return 200, protocol.envelope(
+            devices=device_records(),
+            architectures=sorted(self.architectures)), {}
+
+    async def _events(self, request: Request):
+        """``/v1/events``: this front's event log (``?level=&limit=&event=``)."""
+        query = request.query
+        limit = int(protocol.numeric_param(query, "limit", 50,
+                                           minimum=1, maximum=1000))
+        level = query.get("level") or None
+        if level is not None and level not in LEVELS:
+            raise protocol.ProtocolError(
+                f"unknown level {level!r}; pick one of {sorted(LEVELS)}")
+        events = self.event_log.tail(limit=limit, level=level,
+                                     event=query.get("event") or None)
+        return 200, protocol.envelope(
+            events=events, counts=self.event_log.counts_by_level(),
+            dropped=self.event_log.dropped), {}
+
+
+async def serve(front: HttpFront, install_signal_handlers: bool = True,
+                on_started=None) -> None:
+    """Start ``front`` and block until it has drained and closed.
+
+    With ``install_signal_handlers`` (the default, used by ``repro serve``
+    and by shard worker processes) SIGTERM and SIGINT trigger
+    ``front.initiate_drain``, so a ^C or an orchestrator's stop signal
+    finishes in-flight jobs -- best-so-far within their budgets -- before
+    the process exits.  ``on_started`` is called with the front once the
+    port is bound (the CLI prints its listening line there).
+    """
+    await front.start()
+    if install_signal_handlers:
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, front.initiate_drain)
+            except (NotImplementedError, RuntimeError):  # pragma: no cover
+                pass  # non-POSIX platforms / non-main threads
+    if on_started is not None:
+        on_started(front)
+    await front.wait_closed()
+
+
+class ServerThread:
+    """Run a front on a daemon thread with its own event loop.
+
+    ``build`` constructs the front inside that loop.  :meth:`start` waits up
+    to ``startup_timeout`` seconds for it to bind; :meth:`stop` (and leaving
+    the ``with`` block) initiates a drain and joins the thread, so queued
+    jobs finish before it returns.
+    """
+
+    startup_timeout = 10.0
+    stop_timeout = 60.0
+
+    def __init__(self, build) -> None:
+        self._build = build
+        self.front: HttpFront | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._ready = threading.Event()
+        self._startup_error: BaseException | None = None
+
+    def _run(self) -> None:
+        self._loop = asyncio.new_event_loop()
+        asyncio.set_event_loop(self._loop)
+        try:
+            self._loop.run_until_complete(self._main())
+        finally:
+            self._loop.close()
+
+    async def _main(self) -> None:
+        try:
+            self.front = self._build()
+            await self.front.start()
+        except BaseException as error:
+            self._startup_error = error
+            self._ready.set()
+            raise
+        self._ready.set()
+        await self.front.wait_closed()
+
+    def start(self):
+        self._thread.start()
+        self._ready.wait(timeout=self.startup_timeout)
+        name = type(self).__name__
+        if self._startup_error is not None:
+            raise RuntimeError(f"{name} failed to start") \
+                from self._startup_error
+        if self.front is None:
+            raise RuntimeError(f"{name} did not start within "
+                               f"{self.startup_timeout:.0f}s")
+        return self
+
+    @property
+    def host(self) -> str:
+        assert self.front is not None
+        return self.front.host
+
+    @property
+    def port(self) -> int:
+        assert self.front is not None
+        return self.front.port
+
+    @property
+    def url(self) -> str:
+        assert self.front is not None
+        return self.front.url
+
+    def stop(self, timeout: float | None = None) -> None:
+        """Drain the front and join its thread."""
+        if self._loop is not None and self.front is not None \
+                and self._thread.is_alive():
+            try:
+                self._loop.call_soon_threadsafe(self.front.initiate_drain)
+            except RuntimeError:
+                pass  # the loop closed between is_alive() and the call
+        self._thread.join(timeout=self.stop_timeout if timeout is None
+                          else timeout)
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
 
 async def fetch(host: str, port: int, method: str, path: str,

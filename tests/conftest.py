@@ -13,6 +13,8 @@ from repro.hardware.topologies import (
     ring_architecture,
     tokyo_architecture,
 )
+from repro.server import GatewayThread
+from repro.service import BatchRoutingService
 
 
 @pytest.fixture
@@ -53,3 +55,27 @@ def tokyo():
 def tokyo8():
     """An 8-qubit Tokyo subgraph, the scaled default target."""
     return reduced_tokyo_architecture(8)
+
+
+@pytest.fixture
+def gateway_factory():
+    """Start gateways on free ports; drain and close them all afterwards.
+
+    Shared by ``tests/server`` and the gateway-vs-fleet parity tests in
+    ``tests/cluster``.
+    """
+    handles: list[tuple[GatewayThread, BatchRoutingService]] = []
+
+    def make(service: BatchRoutingService | None = None,
+             **kwargs) -> GatewayThread:
+        if service is None:
+            service = BatchRoutingService(mode="serial", time_budget=5.0)
+        kwargs.setdefault("time_budget", 5.0)
+        handle = GatewayThread(service=service, **kwargs).start()
+        handles.append((handle, service))
+        return handle
+
+    yield make
+    for handle, service in handles:
+        handle.stop()
+        service.close()

@@ -1,31 +1,11 @@
-"""Shared fixtures: an in-process gateway on a background thread."""
+"""Shared fixtures: an in-process gateway on a background thread.
+
+``gateway_factory`` lives in the top-level ``tests/conftest.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
-
-from repro.server import GatewayThread
-from repro.service import BatchRoutingService
-
-
-@pytest.fixture
-def gateway_factory():
-    """Start gateways on free ports; drain and close them all afterwards."""
-    handles: list[tuple[GatewayThread, BatchRoutingService]] = []
-
-    def make(service: BatchRoutingService | None = None,
-             **kwargs) -> GatewayThread:
-        if service is None:
-            service = BatchRoutingService(mode="serial", time_budget=5.0)
-        kwargs.setdefault("time_budget", 5.0)
-        handle = GatewayThread(service=service, **kwargs).start()
-        handles.append((handle, service))
-        return handle
-
-    yield make
-    for handle, service in handles:
-        handle.stop()
-        service.close()
 
 
 @pytest.fixture
