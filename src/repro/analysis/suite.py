@@ -18,7 +18,11 @@ from repro.circuits.library import BenchmarkCircuit, named_benchmarks
 from repro.circuits.qaoa import maxcut_qaoa_circuit, qaoa_repeated_block
 from repro.circuits.random_circuits import random_circuit
 from repro.hardware.architecture import Architecture
-from repro.hardware.topologies import _grid_edges, reduced_tokyo_architecture
+from repro.hardware.topologies import (
+    _grid_edges,
+    _tokyo_diagonals,
+    reduced_tokyo_architecture,
+)
 
 
 @dataclass(frozen=True)
@@ -107,22 +111,11 @@ def mini_tokyo_family(rows: int = 2, columns: int = 4) -> tuple[Architecture, Ar
     grid = _grid_edges(rows, columns)
     sparse = Architecture(rows * columns, list(grid), name=f"mini-tokyo-minus-{rows}x{columns}")
 
-    single_diagonals = []
-    double_diagonals = []
-    for row in range(rows - 1):
-        for column in range(columns - 1):
-            top_left = row * columns + column
-            top_right = top_left + 1
-            bottom_left = top_left + columns
-            bottom_right = bottom_left + 1
-            forward = (top_left, bottom_right)
-            backward = (top_right, bottom_left)
-            double_diagonals.extend([forward, backward])
-            single_diagonals.append(backward if (row + column) % 2 == 0 else forward)
-
-    medium = Architecture(rows * columns, grid + single_diagonals,
+    medium = Architecture(rows * columns,
+                          grid + _tokyo_diagonals(False, rows, columns),
                           name=f"mini-tokyo-{rows}x{columns}")
-    dense = Architecture(rows * columns, grid + double_diagonals,
+    dense = Architecture(rows * columns,
+                         grid + _tokyo_diagonals(True, rows, columns),
                          name=f"mini-tokyo-plus-{rows}x{columns}")
     return sparse, medium, dense
 

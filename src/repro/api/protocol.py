@@ -15,9 +15,7 @@ site), result stamping, and post-hoc verification.  Subclasses implement only
 :class:`~repro.sat.native.CrossCheckError` (cross-check mode caught the
 native core disagreeing with the reference core) propagates to the caller.
 
-This module was lifted out of ``repro.baselines.base`` so the SATMAP family
-and the baselines share one scaffolding; ``repro.baselines.base.Router``
-remains as a deprecated alias.
+The SATMAP family and the baselines share this one scaffolding.
 """
 
 from __future__ import annotations

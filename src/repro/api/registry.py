@@ -9,7 +9,7 @@ coerced *before* a job reaches a worker), and a set of capability tags --
 without instantiating anything.
 
 Router classes are imported lazily inside the factories: the registry is
-imported by ``repro.baselines.base`` (via :mod:`repro.api`), so importing the
+imported by every baseline module (via :mod:`repro.api`), so importing the
 router modules at the top level here would be circular.
 
 Capability vocabulary used by the built-in entries:
@@ -256,8 +256,6 @@ _SATMAP_OPTIONS = (
                 "max backtracking steps of the local relaxation"),
     OptionField("collapse_repeated_pairs", "bool", True,
                 "merge adjacent repeats of the same interaction"),
-    OptionField("incremental", "bool", True,
-                "solve through persistent SAT sessions"),
     OptionField("solver_backend", "str", None, allow_none=True,
                 help="SAT solve core: 'python', 'native', or 'auto' "
                      "(default: $REPRO_SAT_BACKEND, then auto)"),
@@ -349,8 +347,6 @@ def _register_builtins() -> None:
                         "reset swaps"),
             OptionField("strategy", "str", "linear",
                         "MaxSAT strategy: 'linear' or 'core-guided'"),
-            OptionField("incremental", "bool", True,
-                        "solve through persistent SAT sessions"),
             OptionField("solver_backend", "str", None, allow_none=True,
                         help="SAT solve core: 'python', 'native', or 'auto'"),
         ),

@@ -25,11 +25,11 @@ Additional baselines:
 * :class:`repro.baselines.bmt_like.BmtLikeRouter` -- an Enfield/BMT-style
   router combining subgraph isomorphism with approximate token swapping.
 
-All baselines implement the same :class:`repro.baselines.base.Router`
-interface and return :class:`repro.core.result.RoutingResult`.
+All baselines subclass :class:`repro.api.BaseRouter` and return
+:class:`repro.core.result.RoutingResult`.
 """
 
-from repro.baselines.base import Router, RoutedBuilder
+from repro.baselines.base import RoutedBuilder
 from repro.baselines.sabre import SabreRouter
 from repro.baselines.tket_like import TketLikeRouter
 from repro.baselines.astar import AStarLayerRouter
@@ -43,7 +43,6 @@ from repro.baselines.token_swapping import (
 )
 
 __all__ = [
-    "Router",
     "RoutedBuilder",
     "SabreRouter",
     "TketLikeRouter",

@@ -26,14 +26,15 @@ import heapq
 import itertools
 import math
 
-from repro.baselines.base import RoutedBuilder, Router, greedy_interaction_mapping
+from repro.api import BaseRouter
+from repro.baselines.base import RoutedBuilder, greedy_interaction_mapping
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import CircuitDag
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
 
 
-class AStarLayerRouter(Router):
+class AStarLayerRouter(BaseRouter):
     """Layer-by-layer A* mapper in the style of the MQT heuristic."""
 
     name = "MQT-A*"

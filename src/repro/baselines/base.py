@@ -18,24 +18,18 @@ of letting the heuristics score the unreachable-distance sentinel forever;
 the error surfaces as an ERROR result through
 :class:`~repro.api.BaseRouter`'s capture.
 
-The deadline/verify/error-capture scaffolding formerly defined here now
-lives in :mod:`repro.api.protocol` and is shared by *all* routers (the SATMAP
-family included); ``Router`` and ``RoutingTimeout`` remain importable from
-this module as deprecated aliases of :class:`repro.api.BaseRouter` and
-:class:`repro.api.RoutingTimeout`.
+The deadline/verify/error-capture scaffolding lives in
+:class:`repro.api.BaseRouter`, shared by *all* routers (the SATMAP family
+included).
 """
 
 from __future__ import annotations
 
-from repro.api.protocol import BaseRouter, RoutingTimeout  # noqa: F401 - shim
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.circuits.ir import SWAP_OP, CircuitIR
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
-
-#: Deprecated alias: subclass :class:`repro.api.BaseRouter` instead.
-Router = BaseRouter
 
 
 class UnroutableGateError(ValueError):

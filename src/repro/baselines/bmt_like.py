@@ -21,14 +21,15 @@ exactly the behaviour the comparison benchmarks surface.
 
 from __future__ import annotations
 
-from repro.baselines.base import RoutedBuilder, Router
+from repro.api import BaseRouter
+from repro.baselines.base import RoutedBuilder
 from repro.baselines.token_swapping import approximate_token_swapping
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.result import RoutingResult
 from repro.hardware.architecture import Architecture
 
 
-class BmtLikeRouter(Router):
+class BmtLikeRouter(BaseRouter):
     """Region-wise subgraph-isomorphism placement glued by token swapping."""
 
     name = "bmt-like"

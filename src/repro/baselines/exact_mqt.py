@@ -23,14 +23,15 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from repro.baselines.base import RoutedBuilder, Router
+from repro.api import BaseRouter
+from repro.baselines.base import RoutedBuilder
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.extraction import complete_mapping
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
 
 
-class ExhaustiveOptimalRouter(Router):
+class ExhaustiveOptimalRouter(BaseRouter):
     """Provably optimal QMR by exhaustive search (EX-MQT stand-in)."""
 
     name = "EX-MQT-like"

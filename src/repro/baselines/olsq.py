@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 
-from repro.baselines.base import Router
+from repro.api import BaseRouter
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.encoder import EncodingOptions, QmrEncoder
 from repro.core.extraction import build_routed_circuit, extract_solution
@@ -32,7 +32,7 @@ from repro.sat.backends import create_solver
 from repro.sat.solver import SolverStatus
 
 
-class OlsqStyleRouter(Router):
+class OlsqStyleRouter(BaseRouter):
     """Optimal constraint-based router with bound-driven (non-anytime) search."""
 
     name = "TB-OLSQ-like"

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import random
 
+from repro.api import BaseRouter
 from repro.baselines.base import (
     RoutedBuilder,
-    Router,
     greedy_interaction_mapping,
 )
 from repro.circuits.circuit import QuantumCircuit
@@ -40,7 +40,7 @@ from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
 
 
-class SabreRouter(Router):
+class SabreRouter(BaseRouter):
     """SABRE heuristic router."""
 
     name = "SABRE"

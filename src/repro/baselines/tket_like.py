@@ -17,14 +17,15 @@ mapping copy per candidate swap.
 
 from __future__ import annotations
 
-from repro.baselines.base import RoutedBuilder, Router, greedy_interaction_mapping
+from repro.api import BaseRouter
+from repro.baselines.base import RoutedBuilder, greedy_interaction_mapping
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import CircuitDag
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
 
 
-class TketLikeRouter(Router):
+class TketLikeRouter(BaseRouter):
     """Greedy, window-scored router in the style of tket's default pass."""
 
     name = "TKET-like"

@@ -15,9 +15,9 @@ do worse than a constant factor of it on the suite).
 
 from __future__ import annotations
 
+from repro.api import BaseRouter
 from repro.baselines.base import (
     RoutedBuilder,
-    Router,
     greedy_interaction_mapping,
     identity_mapping,
 )
@@ -26,7 +26,7 @@ from repro.core.result import RoutingResult
 from repro.hardware.architecture import Architecture
 
 
-class NaiveShortestPathRouter(Router):
+class NaiveShortestPathRouter(BaseRouter):
     """Route every gate by walking its first operand towards its second."""
 
     name = "naive"

@@ -11,8 +11,6 @@ The subcommands cover the common workflows:
 * ``batch``    -- route many QASM files (or a generated suite) through the
   parallel :class:`~repro.service.BatchRoutingService`: worker pool,
   optional portfolio racing, and an on-disk result cache;
-* ``bench-service`` -- measure service throughput (serial vs. pooled vs.
-  warm cache) on a generated batch;
 * ``serve``    -- run the JSON-over-HTTP routing gateway
   (:mod:`repro.server`): concurrent submissions, cross-client dedup,
   admission quotas, ``/metrics``, graceful drain on SIGTERM;
@@ -79,18 +77,6 @@ def available_architectures() -> dict[str, Architecture]:
     same table the network gateway resolves architecture names against.
     """
     return named_architectures()
-
-
-def available_routers(time_budget: float) -> dict[str, object]:
-    """Router constructors selectable with ``route --router``.
-
-    Deprecated shim over the :mod:`repro.api` registry (every registered
-    router, not a hand-kept subset); kept because older scripts imported it.
-    """
-    def factory(name: str):
-        return lambda: get_router(name, time_budget=time_budget)
-
-    return {name: factory(name) for name in list_routers()}
 
 
 def _router_spec(text: str) -> str:
@@ -160,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="two-qubit gates per slice (0 disables slicing; satmap only)")
     route.add_argument("--time-budget", type=float, default=60.0)
     route.add_argument("--swaps-per-gate", type=int, default=1)
-    route.add_argument("--from-scratch", action="store_true",
-                       help="disable incremental solve sessions (rebuild the "
-                            "SAT solver on every call; satmap only)")
     route.add_argument("--solver-backend", default=None,
                        choices=["python", "native", "auto"],
                        help="SAT solve core (default: $REPRO_SAT_BACKEND, "
@@ -210,20 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="race SATMAP against heuristic baselines per job")
     batch.add_argument("--quiet", action="store_true",
                        help="suppress per-job progress lines")
-
-    bench_service = subparsers.add_parser(
-        "bench-service",
-        help="measure service throughput: serial vs. pooled vs. warm cache")
-    bench_service.add_argument("--arch", default="tokyo8",
-                               choices=sorted(available_architectures()))
-    bench_service.add_argument("--router", default="satmap", type=_router_spec)
-    bench_service.add_argument("--jobs", type=int, default=12)
-    bench_service.add_argument("--time-budget", type=float, default=5.0)
-    bench_service.add_argument("--workers", type=int, default=None)
-    bench_service.add_argument("--solver-backend", default=None,
-                               choices=["python", "native", "auto"],
-                               help="SAT solve core (default: "
-                                    "$REPRO_SAT_BACKEND, then auto)")
 
     serve = subparsers.add_parser(
         "serve", help="run the JSON-over-HTTP routing gateway")
@@ -366,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _route_spec(args: argparse.Namespace) -> RouterSpec:
     """The effective spec of ``repro route``: spec string + legacy flags.
 
-    The dedicated flags (``--slice-size``, ``--swaps-per-gate``,
-    ``--from-scratch``) only configure plain ``satmap``, as they always did;
-    any other router is configured through its spec options.  Options written
-    in the spec string win over the flags.
+    The dedicated flags (``--slice-size``, ``--swaps-per-gate``) only
+    configure plain ``satmap``, as they always did; any other router is
+    configured through its spec options.  Options written in the spec string
+    win over the flags.
     """
     spec = RouterSpec.from_string(args.router)
     defaults: dict = {"time_budget": args.time_budget}
@@ -377,7 +346,6 @@ def _route_spec(args: argparse.Namespace) -> RouterSpec:
         defaults.update(
             slice_size=args.slice_size if args.slice_size > 0 else None,
             swaps_per_gate=args.swaps_per_gate,
-            incremental=not args.from_scratch,
         )
     return spec.with_defaults(**defaults)
 
@@ -492,9 +460,6 @@ def command_batch(args: argparse.Namespace) -> int:
     import time as _time
 
     _apply_solver_backend(args)
-    if args.time_budget <= 0:
-        print("error: --time-budget must be positive", file=sys.stderr)
-        return 2
     missing = [path for path in args.qasm if not path.exists()]
     if missing:
         print(f"error: no such file: {', '.join(map(str, missing))}", file=sys.stderr)
@@ -541,61 +506,12 @@ def command_batch(args: argparse.Namespace) -> int:
         return 0 if solved == len(jobs) else 2
 
 
-def command_bench_service(args: argparse.Namespace) -> int:
-    import time as _time
-
-    _apply_solver_backend(args)
-    if args.time_budget <= 0:
-        print("error: --time-budget must be positive", file=sys.stderr)
-        return 2
-    architecture = available_architectures()[args.arch]
-    suite = tiny_suite()
-    benches = [suite[index % len(suite)] for index in range(max(1, args.jobs))]
-
-    def make_jobs() -> list[RoutingJob]:
-        return [RoutingJob.from_circuit(bench.circuit, architecture,
-                                        router=args.router, name=f"{bench.name}#{i}")
-                for i, bench in enumerate(benches)]
-
-    def timed(service: BatchRoutingService) -> tuple[float, int]:
-        jobs = make_jobs()
-        start = _time.monotonic()
-        results = service.route_batch(jobs, time_budget=args.time_budget)
-        elapsed = _time.monotonic() - start
-        return elapsed, sum(1 for result in results if result.solved)
-
-    with BatchRoutingService(max_workers=1, mode="serial", cache=False) as serial:
-        serial_time, serial_solved = timed(serial)
-    with BatchRoutingService(max_workers=args.workers, mode="auto") as pooled:
-        pooled_time, pooled_solved = timed(pooled)
-        warm_time, warm_solved = timed(pooled)
-        hits = pooled.cache.hits
-
-    rows = [
-        ["serial (no cache)", round(serial_time, 3),
-         round(len(benches) / max(serial_time, 1e-9), 2), serial_solved],
-        [f"pooled ({pooled.pool.mode}, cold cache)", round(pooled_time, 3),
-         round(len(benches) / max(pooled_time, 1e-9), 2), pooled_solved],
-        ["pooled (warm cache)", round(warm_time, 3),
-         round(len(benches) / max(warm_time, 1e-9), 2), warm_solved],
-    ]
-    print(render_table(["configuration", "time (s)", "jobs/s", "solved"], rows,
-                       title=f"Service throughput: {len(benches)} x {args.router} "
-                             f"on {args.arch}"))
-    print(f"cache hits on warm run: {hits}")
-    print(f"warm-cache speedup over serial: {serial_time / max(warm_time, 1e-9):.1f}x")
-    return 0
-
-
 def command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.server import AdmissionController, RoutingGateway, serve
 
     _apply_solver_backend(args)
-    if args.time_budget <= 0:
-        print("error: --time-budget must be positive", file=sys.stderr)
-        return 2
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
@@ -907,11 +823,14 @@ def command_generate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    budget = getattr(args, "time_budget", None)
+    if budget is not None and not budget > 0:
+        print("error: --time-budget must be positive", file=sys.stderr)
+        return 2
     commands = {
         "route": command_route,
         "compare": command_compare,
         "batch": command_batch,
-        "bench-service": command_bench_service,
         "serve": command_serve,
         "submit": command_submit,
         "trace": command_trace,

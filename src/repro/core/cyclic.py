@@ -137,7 +137,7 @@ class CyclicRouter(BaseRouter):
     def __init__(self, cycles: int = 1, time_budget: float = 60.0,
                  slice_size: int | None = None, swaps_per_gate: int = 1,
                  fallback_reset: bool = True, strategy: str = "linear",
-                 incremental: bool = True, verify: bool = True,
+                 verify: bool = True,
                  solver_backend: str | None = None) -> None:
         if cycles <= 0:
             raise ValueError("cycles must be positive")
@@ -147,7 +147,6 @@ class CyclicRouter(BaseRouter):
         self.swaps_per_gate = swaps_per_gate
         self.fallback_reset = fallback_reset
         self.strategy = strategy
-        self.incremental = incremental
         self.solver_backend = solver_backend
 
     def _route(self, circuit: QuantumCircuit, architecture: Architecture,
@@ -156,7 +155,6 @@ class CyclicRouter(BaseRouter):
                              swaps_per_gate=self.swaps_per_gate,
                              time_budget=self.time_budget,
                              strategy=self.strategy,
-                             incremental=self.incremental,
                              solver_backend=self.solver_backend,
                              verify=False, name=self.name)
         # route_cyclic verifies against the *composed* circuit when asked;

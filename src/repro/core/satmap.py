@@ -15,14 +15,12 @@ budget: the MaxSAT search is anytime, so when the budget expires the best
 model found so far is extracted and reported as a feasible (non-optimal)
 solution.
 
-Solving is *incremental* by default: each (sub)circuit encoding streams into
-a persistent :class:`~repro.sat.session.SatSession` and the resulting
+Solving is *incremental*: each (sub)circuit encoding streams into a
+persistent :class:`~repro.sat.session.SatSession` and the resulting
 :class:`SliceContext` can be handed back to :meth:`SatMapRouter.solve_monolithic`
 to re-solve the same encoding -- with extra excluded final mappings, or under
 a different inherited initial map expressed as assumptions -- without
-re-encoding and without losing what the SAT solver has learnt.  Set
-``incremental=False`` to restore the historical rebuild-everything behaviour
-(the benchmark uses this as its from-scratch arm).
+re-encoding and without losing what the SAT solver has learnt.
 """
 
 from __future__ import annotations
@@ -90,8 +88,8 @@ class SliceContext:
                 or self.cyclic != cyclic):
             return False
         # A pinned initial map is only re-expressible if the encoding pins
-        # via assumptions (it always does in incremental mode when built with
-        # a fixed map; a context built without one cannot suddenly pin).
+        # via assumptions (it always does when built with a fixed map; a
+        # context built without one cannot suddenly pin).
         if fixed_initial_mapping is not None:
             return self.encoding.options.pin_initial_via_assumptions
         return self.encoding.options.fixed_initial_mapping is None
@@ -102,9 +100,9 @@ class MonolithicOutcome:
     """Result of solving one (sub)circuit's encoding, before stitching."""
 
     result: RoutingResult
-    #: Present in incremental mode: hand it back to ``solve_monolithic`` to
-    #: re-solve this encoding without rebuilding.
-    context: SliceContext | None = None
+    #: Hand it back to ``solve_monolithic`` to re-solve this encoding without
+    #: rebuilding.
+    context: SliceContext
 
 
 class SatMapRouter(BaseRouter):
@@ -127,10 +125,6 @@ class SatMapRouter(BaseRouter):
         When provided, soft clauses are weighted by gate fidelities (Q6).
     verify:
         Run the independent verifier on every produced solution (default on).
-    incremental:
-        Solve through persistent :class:`~repro.sat.session.SatSession` s
-        (default).  ``False`` rebuilds the SAT solver from scratch on every
-        call, the pre-session behaviour.
     solver_backend:
         SAT core (``python``, ``native`` or ``auto``); ``None`` defers to
         ``$REPRO_SAT_BACKEND``.
@@ -148,7 +142,6 @@ class SatMapRouter(BaseRouter):
         collapse_repeated_pairs: bool = True,
         noise_model: NoiseModel | None = None,
         verify: bool = True,
-        incremental: bool = True,
         solver_backend: str | None = None,
         name: str | None = None,
     ) -> None:
@@ -169,7 +162,6 @@ class SatMapRouter(BaseRouter):
         self.backtrack_limit = backtrack_limit
         self.collapse_repeated_pairs = collapse_repeated_pairs
         self.noise_model = noise_model
-        self.incremental = incremental
         #: Requested solve core (python | native | auto); ``None`` defers to
         #: ``$REPRO_SAT_BACKEND`` / auto at session-construction time.
         self.solver_backend = solver_backend
@@ -189,26 +181,6 @@ class SatMapRouter(BaseRouter):
 
     # ------------------------------------------------------------ internals
 
-    def encoding_options(self, fixed_initial_mapping: dict[int, int] | None = None,
-                         cyclic: bool = False,
-                         leading_swap_slot: bool | None = None,
-                         leading_slots: int | None = None,
-                         swaps_per_gate: int | None = None,
-                         pin_initial_via_assumptions: bool = False) -> EncodingOptions:
-        """The :class:`EncodingOptions` matching this router's configuration."""
-        if leading_swap_slot is None:
-            leading_swap_slot = fixed_initial_mapping is not None
-        return EncodingOptions(
-            swaps_per_gate=swaps_per_gate or self.swaps_per_gate,
-            collapse_repeated_pairs=self.collapse_repeated_pairs,
-            leading_swap_slot=leading_swap_slot,
-            leading_slots=leading_slots,
-            cyclic=cyclic,
-            fixed_initial_mapping=fixed_initial_mapping,
-            pin_initial_via_assumptions=pin_initial_via_assumptions,
-            noise_model=self.noise_model,
-        )
-
     def solve_monolithic(
         self,
         circuit: QuantumCircuit,
@@ -227,40 +199,32 @@ class SatMapRouter(BaseRouter):
         again; the local relaxation uses it to implement backtracking (each
         entry becomes the negation of that mapping's assignment, Example 10).
 
-        In incremental mode a compatible ``context`` (from a previous outcome
-        on the same circuit) is *reused*: only exclusion clauses the context
-        has not seen yet are streamed in, the inherited initial map is pinned
-        via assumptions, and the session's learnt clauses carry over.
+        A compatible ``context`` (from a previous outcome on the same circuit)
+        is *reused*: only exclusion clauses the context has not seen yet are
+        streamed in, the inherited initial map is pinned via assumptions, and
+        the session's learnt clauses carry over.
         """
         excluded = excluded_final_mappings or []
         timings: dict[str, float] = {}
         encode_start = time.monotonic()
-        instance_key = (_instance_key(circuit, architecture)
-                        if self.incremental else ())
+        instance_key = _instance_key(circuit, architecture)
 
         with obs_trace.span("encode") as encode_span:
-            if (self.incremental and context is not None
+            if (context is not None
                     and context.matches(instance_key,
                                         leading_slots, swaps_per_gate,
                                         cyclic, fixed_initial_mapping, excluded)):
-                encoding = context.encoding
                 encode_span.set(reused=True)
             else:
                 context = self._build_context(circuit, architecture, instance_key,
                                               fixed_initial_mapping, cyclic,
                                               leading_slots, swaps_per_gate)
-                encoding = context.encoding if context is not None else None
-                if encoding is None:  # non-incremental: plain encode
-                    options = self.encoding_options(fixed_initial_mapping, cyclic,
-                                                    leading_slots=leading_slots,
-                                                    swaps_per_gate=swaps_per_gate)
-                    encoding = QmrEncoder(architecture, options).encode(circuit)
-            for mapping in excluded[context.excluded_count if context else 0:]:
+            encoding = context.encoding
+            for mapping in excluded[context.excluded_count:]:
                 clause = encoding.final_mapping_exclusion(mapping)
                 if clause:
                     encoding.builder.add_hard(clause)
-                if context is not None:
-                    context.excluded.append(dict(mapping))
+                context.excluded.append(dict(mapping))
             timings["encode"] = time.monotonic() - encode_start
             encode_span.set(variables=encoding.num_variables,
                             hard_clauses=encoding.num_hard_clauses,
@@ -271,20 +235,16 @@ class SatMapRouter(BaseRouter):
                 and encoding.options.pin_initial_via_assumptions):
             assumptions = encoding.initial_mapping_assumptions(fixed_initial_mapping)
 
-        solver = (context.maxsat if context is not None
-                  else MaxSatSolver(self.strategy,
-                                    solver_backend=self.solver_backend))
         solve_start = time.monotonic()
         with obs_trace.span("solve", strategy=self.strategy) as solve_span:
-            maxsat_result = solver.solve(encoding.builder, time_budget=time_budget,
-                                         assumptions=assumptions)
+            maxsat_result = context.maxsat.solve(encoding.builder,
+                                                 time_budget=time_budget,
+                                                 assumptions=assumptions)
             timings["solve"] = time.monotonic() - solve_start
             solve_span.set(status=maxsat_result.status.value,
-                           sat_calls=maxsat_result.sat_calls)
-            if context is not None:
-                solve_span.set(**context.session.solver_stats())
-        if context is not None:
-            context.solves += 1
+                           sat_calls=maxsat_result.sat_calls,
+                           **context.session.solver_stats())
+        context.solves += 1
 
         base = RoutingResult(
             status=RoutingStatus.TIMEOUT,
@@ -295,11 +255,10 @@ class SatMapRouter(BaseRouter):
             num_hard_clauses=encoding.num_hard_clauses,
             num_soft_clauses=encoding.num_soft_clauses,
             stage_timings=timings,
+            clauses_streamed=context.session.stats.clauses_streamed,
+            learnt_clauses_retained=context.session.learnt_clauses_retained,
+            solver_stats=context.session.solver_stats(),
         )
-        if context is not None:
-            base.clauses_streamed = context.session.stats.clauses_streamed
-            base.learnt_clauses_retained = context.session.learnt_clauses_retained
-            base.solver_stats = context.session.solver_stats()
         if maxsat_result.status is MaxSatStatus.UNSATISFIABLE:
             base.status = RoutingStatus.UNSATISFIABLE
         if not maxsat_result.has_model:
@@ -331,15 +290,18 @@ class SatMapRouter(BaseRouter):
         cyclic: bool,
         leading_slots: int | None,
         swaps_per_gate: int | None,
-    ) -> SliceContext | None:
-        """Fresh session + streamed encoding (``None`` when non-incremental)."""
-        if not self.incremental:
-            return None
-        options = self.encoding_options(
-            fixed_initial_mapping, cyclic,
+    ) -> SliceContext:
+        """Fresh session + streamed encoding."""
+        pinned = fixed_initial_mapping is not None
+        options = EncodingOptions(
+            swaps_per_gate=swaps_per_gate or self.swaps_per_gate,
+            collapse_repeated_pairs=self.collapse_repeated_pairs,
+            leading_swap_slot=pinned,
             leading_slots=leading_slots,
-            swaps_per_gate=swaps_per_gate,
-            pin_initial_via_assumptions=fixed_initial_mapping is not None,
+            cyclic=cyclic,
+            fixed_initial_mapping=fixed_initial_mapping,
+            pin_initial_via_assumptions=pinned,
+            noise_model=self.noise_model,
         )
         session = SatSession(backend=self.solver_backend)
         encoding = QmrEncoder(architecture, options).encode(circuit, sink=session)

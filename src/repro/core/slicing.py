@@ -53,7 +53,7 @@ class SliceState:
     leading_slots: int = 1
     #: SWAP slots per gate inside the slice (escalated as a last resort).
     swaps_per_gate: int | None = None
-    #: Persistent solve context (incremental mode): one live session per
+    #: Persistent solve context: one live session per
     #: slice inside the backtracking window, so re-solves stream only the new
     #: exclusion clause and swap the initial-map assumptions instead of
     #: re-encoding.  Released (set to ``None``) once the slice falls below

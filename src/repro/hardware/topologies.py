@@ -27,18 +27,19 @@ def _grid_edges(rows: int, columns: int) -> list[tuple[int, int]]:
     return edges
 
 
-def _tokyo_diagonals(both: bool) -> list[tuple[int, int]]:
-    """Diagonal couplings of the Tokyo lattice.
+def _tokyo_diagonals(both: bool, rows: int = TOKYO_ROWS,
+                     columns: int = TOKYO_COLUMNS) -> list[tuple[int, int]]:
+    """Diagonal couplings of a ``rows`` x ``columns`` Tokyo-style lattice.
 
     The real device has one diagonal per cell with alternating orientation;
     ``both=True`` produces the Tokyo+ variant with both diagonals everywhere.
     """
     edges: list[tuple[int, int]] = []
-    for row in range(TOKYO_ROWS - 1):
-        for column in range(TOKYO_COLUMNS - 1):
-            top_left = row * TOKYO_COLUMNS + column
+    for row in range(rows - 1):
+        for column in range(columns - 1):
+            top_left = row * columns + column
             top_right = top_left + 1
-            bottom_left = top_left + TOKYO_COLUMNS
+            bottom_left = top_left + columns
             bottom_right = bottom_left + 1
             forward = (top_left, bottom_right)
             backward = (top_right, bottom_left)

@@ -79,7 +79,8 @@ class MaxSatSolver:
         self.session = session
         #: Solve core used by session-less strategies (python | native |
         #: auto | None).  A session brings its own solver, so this only
-        #: matters for the non-incremental path.
+        #: matters for callers that pass none, such as the session-less
+        #: references the equivalence tests solve against.
         self.solver_backend = solver_backend
         #: Per-builder linear-search state (selectors + bound structure) kept
         #: alive between calls when a session is present.

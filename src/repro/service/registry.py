@@ -1,9 +1,9 @@
 """Deprecated shim over :mod:`repro.api`'s single router registry.
 
-This module used to hold its own name->factory table, parallel to the CLI's
-``available_routers``.  Both now delegate to :mod:`repro.api.registry`, so
-``"satmap"`` (or any spec string such as ``"satmap:slice_size=10"``) means
-the same thing everywhere: library, CLI, worker pool, portfolio, harness.
+This module used to hold its own name->factory table.  It now delegates to
+:mod:`repro.api.registry`, so ``"satmap"`` (or any spec string such as
+``"satmap:slice_size=10"``) means the same thing everywhere: library, CLI,
+worker pool, portfolio, harness.
 
 Only the service-policy constants live here: which routers race by default
 and which one rescues timed-out jobs.  New code should import

@@ -30,7 +30,12 @@ from repro.circuits.library import BenchmarkCircuit
 from repro.circuits.random_circuits import random_circuit
 from repro.core import SatMapRouter
 from repro.core.result import RoutingResult, RoutingStatus
-from repro.hardware.topologies import grid_architecture
+from repro.hardware.topologies import (
+    grid_architecture,
+    tokyo_architecture,
+    tokyo_minus_architecture,
+    tokyo_plus_architecture,
+)
 
 
 class TestSuites:
@@ -62,6 +67,14 @@ class TestSuites:
         sparse, medium, dense = mini_tokyo_family()
         assert medium.average_degree == pytest.approx(
             (sparse.average_degree + dense.average_degree) / 2)
+
+    def test_mini_tokyo_family_at_full_size_is_the_tokyo_family(self):
+        family = mini_tokyo_family(4, 5)
+        reference = (tokyo_minus_architecture(), tokyo_architecture(),
+                     tokyo_plus_architecture())
+        for mini, device in zip(family, reference):
+            assert mini.num_qubits == device.num_qubits
+            assert mini.edges == device.edges
 
     def test_suite_sizes_lookup(self):
         suite = tiny_suite()

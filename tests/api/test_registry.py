@@ -82,6 +82,12 @@ class TestGetRouter:
         with pytest.raises(SpecError):
             get_router("sabre:warp_factor=9")
 
+    @pytest.mark.parametrize("name", ["satmap", "nl-satmap", "noise-satmap",
+                                      "cyclic"])
+    def test_there_is_no_from_scratch_solve_mode(self, name):
+        with pytest.raises(SpecError, match="incremental"):
+            get_router(f"{name}:incremental=false")
+
     def test_accepts_dict_specs(self):
         router = get_router({"router": "sabre", "options": {"seed": 4}})
         assert router.seed == 4

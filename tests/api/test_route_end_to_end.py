@@ -114,16 +114,6 @@ class TestOldConstructorsStillWork:
 
 
 class TestDeprecationShims:
-    def test_baselines_base_router_is_base_router(self):
-        from repro.api import BaseRouter
-        from repro.baselines.base import Router as LegacyRouter
-        from repro.baselines.base import RoutingTimeout as LegacyTimeout
-
-        assert LegacyRouter is BaseRouter
-        from repro.api import RoutingTimeout
-
-        assert LegacyTimeout is RoutingTimeout
-
     def test_service_registry_shims_over_api(self):
         from repro.service.registry import build_router, display_name, router_names
 
@@ -135,13 +125,6 @@ class TestDeprecationShims:
         assert display_name("satmap") == "SATMAP"
         with pytest.raises(KeyError):
             build_router("no-such", 5.0)
-
-    def test_cli_available_routers_shim_builds_everything(self):
-        from repro.cli import available_routers
-
-        for name, constructor in available_routers(5.0).items():
-            router = constructor()
-            assert router.time_budget == 5.0, name
 
     def test_get_router_equals_legacy_build_router(self):
         from repro.service.registry import build_router

@@ -29,14 +29,6 @@ class TestMonolithicContextReuse:
         assert outcome.context.session.stats.clauses_streamed > 0
         assert outcome.context.solves == 1
 
-    def test_non_incremental_router_returns_no_context(self):
-        circuit = random_circuit(4, 6, seed=3)
-        arch = ring_architecture(4)
-        outcome = SatMapRouter(time_budget=30, incremental=False).solve_monolithic(
-            circuit, arch, 30)
-        assert outcome.result.solved
-        assert outcome.context is None
-
     def test_exclusion_resolve_reuses_the_context(self):
         circuit = random_circuit(4, 8, seed=5)
         arch = ring_architecture(4)
@@ -55,23 +47,24 @@ class TestMonolithicContextReuse:
                        second.result.initial_mapping, arch)
 
     def test_resolve_matches_from_scratch_swaps(self):
-        """The re-solved optimum equals the from-scratch re-solved optimum."""
+        """A re-solve on a reused session finds a fresh session's optimum."""
         circuit = random_circuit(4, 10, seed=9)
         arch = ring_architecture(4)
-        incremental = SatMapRouter(time_budget=30)
-        scratch = SatMapRouter(time_budget=30, incremental=False)
-        inc_first = incremental.solve_monolithic(circuit, arch, 30)
-        scr_first = scratch.solve_monolithic(circuit, arch, 30)
-        assert inc_first.result.optimal and scr_first.result.optimal
-        assert inc_first.result.swap_count == scr_first.result.swap_count
-        excluded = [dict(inc_first.result.final_mapping)]
-        inc_second = incremental.solve_monolithic(
+        router = SatMapRouter(time_budget=30)
+        first = router.solve_monolithic(circuit, arch, 30)
+        assert first.result.optimal
+        excluded = [dict(first.result.final_mapping)]
+        reused = router.solve_monolithic(
             circuit, arch, 30, excluded_final_mappings=excluded,
-            context=inc_first.context)
-        scr_second = scratch.solve_monolithic(
+            context=first.context)
+        # The reference streams the same exclusion into a new session.
+        fresh = SatMapRouter(time_budget=30).solve_monolithic(
             circuit, arch, 30, excluded_final_mappings=excluded)
-        assert inc_second.result.optimal and scr_second.result.optimal
-        assert inc_second.result.swap_count == scr_second.result.swap_count
+        assert reused.context is first.context
+        assert fresh.context is not first.context
+        assert fresh.context.solves == 1
+        assert reused.result.optimal and fresh.result.optimal
+        assert reused.result.swap_count == fresh.result.swap_count
 
     def test_context_for_a_different_circuit_is_refused(self):
         arch = ring_architecture(4)
@@ -140,13 +133,11 @@ class TestSlicedIncrementalEquivalence:
     def test_sliced_routing_verifies_in_both_modes(self):
         circuit = ladder_circuit(5, 6)
         arch = line_architecture(5)
-        for incremental in (False, True):
-            router = SatMapRouter(slice_size=2, time_budget=90, backtrack_limit=3,
-                                  incremental=incremental)
-            result = router.route(circuit, arch)
-            assert result.solved, f"incremental={incremental}"
-            verify_routing(circuit, result.routed_circuit,
-                           result.initial_mapping, arch)
+        router = SatMapRouter(slice_size=2, time_budget=90, backtrack_limit=3)
+        result = router.route(circuit, arch)
+        assert result.solved
+        verify_routing(circuit, result.routed_circuit,
+                       result.initial_mapping, arch)
 
     def test_backtracking_works_on_warm_sessions(self):
         # Force handoffs that typically require backtracking or escalation and

@@ -49,7 +49,6 @@ class ScriptedRouter:
         self.swaps_per_gate = 1
         self.time_budget = 60.0
         self.backtrack_limit = backtrack_limit
-        self.incremental = False
         self.noise_model = None
         self.name = "scripted"
         self.unsat_while = unsat_while

@@ -39,6 +39,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["route", str(qasm_file), "--arch", "mars"])
 
+    @pytest.mark.parametrize("argv", [["route", "x.qasm", "--from-scratch"],
+                                      ["bench-service"]])
+    def test_removed_flags_and_commands_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_architecture_catalogue_is_consistent(self):
         catalogue = available_architectures()
         assert "tokyo" in catalogue and "tokyo+" in catalogue
@@ -67,6 +75,17 @@ class TestRouteCommand:
         exit_code = main(["route", str(qasm_file), "--arch", "tokyo8",
                           "--slice-size", "0", "--time-budget", "20"])
         assert exit_code == 0
+
+
+class TestBudgetValidation:
+    @pytest.mark.parametrize("command", ["route", "compare"])
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_budget_is_a_usage_error(self, command, budget,
+                                                  qasm_file, capsys):
+        argv = [command, str(qasm_file), "--time-budget", budget]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --time-budget must be positive\n")
 
 
 class TestInfoAndCompare:

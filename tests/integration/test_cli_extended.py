@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import available_architectures, available_routers, main
+from repro.api import get_router, list_routers
+from repro.cli import available_architectures, main
 from repro.circuits.qasm import load_qasm
 
 
@@ -84,6 +85,7 @@ class TestRegistries:
         assert "tokyo" in names
 
     def test_available_routers_construct(self):
-        for name, constructor in available_routers(5.0).items():
-            router = constructor()
+        for name in list_routers():
+            router = get_router(name, time_budget=5.0)
             assert hasattr(router, "route"), name
+            assert router.time_budget == 5.0, name

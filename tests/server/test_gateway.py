@@ -145,6 +145,13 @@ class TestBadRequests:
         assert excinfo.value.status == 400
         assert "slice_size" in str(excinfo.value)
 
+    def test_removed_router_option_400(self, client, circuit):
+        with pytest.raises(ServerError) as excinfo:
+            client.submit(circuit, architecture="tokyo8",
+                          router="satmap:incremental=false")
+        assert excinfo.value.status == 400
+        assert "incremental" in str(excinfo.value)
+
     def test_malformed_request_line_gets_http_400(self, gateway):
         import socket
 

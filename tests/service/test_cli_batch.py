@@ -1,4 +1,4 @@
-"""The ``batch`` and ``bench-service`` CLI subcommands."""
+"""The ``batch`` CLI subcommand."""
 
 from __future__ import annotations
 
@@ -77,14 +77,3 @@ class TestBatchCommand:
         out = capsys.readouterr().out
         assert "solved 2/2 jobs" in out
 
-
-class TestBenchServiceCommand:
-    def test_reports_three_configurations(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.chdir(tmp_path)  # keep any cache artefacts out of the repo
-        argv = ["bench-service", "--arch", "tokyo6", "--router", "naive",
-                "--jobs", "3", "--time-budget", "5", "--workers", "1"]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "serial (no cache)" in out
-        assert "warm cache" in out
-        assert "speedup" in out
