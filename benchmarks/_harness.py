@@ -3,8 +3,7 @@
 Each ``bench_*.py`` file regenerates one table or figure from the paper's
 evaluation (Section VII) on the scaled suites described in
 ``repro.analysis.suite``.  Results are printed and also written to
-``benchmarks/results/<name>.txt`` so they survive pytest's output capture; the
-numbers referenced in EXPERIMENTS.md come from those files.
+``benchmarks/results/<name>.txt`` so they survive pytest's output capture.
 """
 
 from __future__ import annotations

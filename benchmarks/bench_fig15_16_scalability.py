@@ -10,7 +10,7 @@ Fig. 16 (paper): the cost advantage over TKET shrinks as circuits grow,
 because larger circuits use more slices and therefore stray further from the
 global optimum.  Reproduced output: the per-circuit cost ratio bucketed by
 circuit size; the claim checked is that a ratio is produced for every size
-bucket (the qualitative trend is recorded in EXPERIMENTS.md).
+bucket.
 """
 
 from _harness import HEURISTIC_BUDGET, run_once, save_report

@@ -7,7 +7,7 @@ the presets below: smaller circuit suites, reduced architectures that keep the
 Tokyo structure (grid plus alternating diagonals), and second-scale budgets.
 The *relative* comparisons -- who solves more, who needs fewer SWAPs, how the
 relaxations trade quality for scalability -- are what the experiments
-reproduce; EXPERIMENTS.md records where absolute numbers differ and why.
+reproduce; absolute numbers differ from the paper's.
 """
 
 from __future__ import annotations

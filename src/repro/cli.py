@@ -494,7 +494,7 @@ def command_batch(args: argparse.Namespace) -> int:
             ["circuit", "router", "status", "swaps", "CNOTs", "time (s)", "cache"],
             rows, title=f"Batch of {len(jobs)} jobs on {args.arch}"))
         print()
-        print(service.telemetry.summary())
+        print(service.summary())
         cache_stats = service.stats().get("cache")
         if cache_stats is not None:
             print(f"cache: {cache_stats['hits']} hits / {cache_stats['misses']} misses "
@@ -559,7 +559,7 @@ def command_serve(args: argparse.Namespace) -> int:
         asyncio.run(serve(gateway, on_started=announce))
     finally:
         service.close()
-    print(service.telemetry.summary())
+    print(service.summary())
     return 0
 
 

@@ -8,6 +8,9 @@ that correlate the event to its trace.  Records land in a bounded
 in-memory ring (served at ``/v1/events``) and, when a directory is given,
 in size-rotated JSONL files via :class:`~repro.obs.export.JsonlWriter`
 (per-``owner`` filenames, so a fleet shares one ``--events-dir`` safely).
+Every emit is counted per ``(level, event)`` before the level filter, so a
+log set to ``info`` still counts the debug-level job lifecycle steps the
+batch service emits without keeping them.
 
 Emitting is cheap and never raises into the caller: a failing file sink
 disables itself and counts the failure rather than aborting the job that
@@ -27,7 +30,7 @@ from repro.obs.trace import current_span
 
 __all__ = ["EventLog", "LEVELS", "read_events"]
 
-#: Severity order; emit() refuses levels below the log's threshold.
+#: Severity order; emit() counts but does not keep levels below the threshold.
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 
@@ -51,7 +54,8 @@ class EventLog:
         Per-writer tag for shared directories (fleet workers pass
         ``shard-N``, the dispatcher ``dispatcher``).
     level:
-        Minimum severity recorded (``debug`` records everything).
+        Minimum severity kept in the ring and the sink (``debug`` keeps
+        everything); lower levels are still counted.
     max_events:
         In-memory ring capacity; the file sink is unaffected.
     """
@@ -71,9 +75,10 @@ class EventLog:
         self._clock = clock
         self._lock = threading.Lock()
         self._ring: deque[dict] = deque(maxlen=max_events)
-        #: Emitted events per (level, event) pair; exact despite eviction.
+        #: Emitted events per (level, event) pair, kept or not; exact
+        #: despite eviction.
         self.counts: dict[tuple[str, str], int] = {}
-        self.dropped = 0  # below-threshold emits
+        self.dropped = 0  # below-threshold emits (counted, not kept)
         self.sink_errors = 0
         self._sink = (JsonlWriter(directory, filename=filename,
                                   max_bytes=max_bytes, owner=owner)
@@ -86,7 +91,8 @@ class EventLog:
     # -------------------------------------------------------------- emitting
 
     def emit(self, event: str, level: str = "info", **fields) -> dict | None:
-        """Record one event; returns the record, or ``None`` if filtered.
+        """Count one event and keep it; returns the record, or ``None`` if
+        it is below the log's level (counted, but not kept).
 
         The active span (if any) stamps ``trace_id``/``span_id`` onto the
         record so ``repro trace`` and the event stream cross-reference;
@@ -95,10 +101,12 @@ class EventLog:
         severity = LEVELS.get(level)
         if severity is None:
             raise ValueError(f"unknown level {level!r}")
-        if severity < LEVELS[self.level]:
-            with self._lock:
+        with self._lock:
+            key = (level, event)
+            self.counts[key] = self.counts.get(key, 0) + 1
+            if severity < LEVELS[self.level]:
                 self.dropped += 1
-            return None
+                return None
         record = {"ts": self._clock(), "level": level, "event": event,
                   "pid": os.getpid()}
         if self.owner is not None:
@@ -111,8 +119,6 @@ class EventLog:
             record[key] = _coerce(value)
         with self._lock:
             self._ring.append(record)
-            key = (level, event)
-            self.counts[key] = self.counts.get(key, 0) + 1
         if self._sink is not None:
             try:
                 self._sink.write_record(record)
@@ -136,13 +142,20 @@ class EventLog:
         matching = [record for record in records
                     if LEVELS[record["level"]] >= floor
                     and (event is None or record["event"] == event)]
-        return matching[-max(0, limit):]
+        return matching[-limit:] if limit > 0 else []
 
     def counts_by_level(self) -> dict[str, int]:
         with self._lock:
             totals: dict[str, int] = {}
             for (level, _), count in self.counts.items():
                 totals[level] = totals.get(level, 0) + count
+        return totals
+
+    def counts_by_event(self) -> dict[str, int]:
+        with self._lock:
+            totals: dict[str, int] = {}
+            for (_, event), count in self.counts.items():
+                totals[event] = totals.get(event, 0) + count
         return totals
 
     def __len__(self) -> int:

@@ -1,7 +1,8 @@
 """Counters, gauges, and fixed-bucket histograms with Prometheus exposition.
 
-The server's ``/metrics`` endpoint, the batch service's telemetry, and the
-bench scripts all share one :class:`MetricsRegistry`.  Instruments are
+The server's ``/metrics`` endpoint renders one :class:`MetricsRegistry`:
+the batch service's per-job histograms live on it, and the gateway mirrors
+its own counters and gauges into it at scrape time.  Instruments are
 created (or looked up) with :meth:`MetricsRegistry.counter` /
 :meth:`~MetricsRegistry.gauge` / :meth:`~MetricsRegistry.histogram`; the
 registry renders the whole collection as Prometheus text exposition format
@@ -22,7 +23,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "default_registry",
     "DEFAULT_SECONDS_BUCKETS",
     "DEFAULT_COUNT_BUCKETS",
     "format_value",
@@ -412,22 +412,3 @@ class MetricsRegistry:
             ordered.extend(inst for name, inst in self._instruments.items()
                            if name not in first)
         return render_families(ordered)
-
-
-# ----------------------------------------------------------- default registry
-
-#: Process-wide registry for instrumentation that has no obvious owner (the
-#: per-call SAT solve histogram of :class:`repro.sat.session.SatSession`).
-#: Servers keep constructing their own registries; this one exists so library
-#: code can count without threading a registry through every call site.
-_DEFAULT_REGISTRY: MetricsRegistry | None = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_registry() -> MetricsRegistry:
-    """The lazily created process-wide :class:`MetricsRegistry`."""
-    global _DEFAULT_REGISTRY
-    with _DEFAULT_LOCK:
-        if _DEFAULT_REGISTRY is None:
-            _DEFAULT_REGISTRY = MetricsRegistry()
-        return _DEFAULT_REGISTRY

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, default_registry
 from repro.sat.backends import create_solver, resolve_backend
 from repro.sat.solver import SolveResult
 
@@ -66,8 +65,8 @@ class SatSession:
     :class:`SatSolver`.  It satisfies :class:`ClauseSink`, so encoders and
     builders can stream clauses straight into it, and it tracks how many
     clauses were streamed, how many solve calls ran, and how much learnt
-    knowledge is being retained -- the numbers the service telemetry surfaces
-    to make incremental reuse observable.
+    knowledge is being retained -- the numbers the batch service's summary
+    surfaces to make incremental reuse observable.
     """
 
     def __init__(self, backend: str | None = None, **solver_kwargs) -> None:
@@ -125,11 +124,6 @@ class SatSession:
         elapsed = time.monotonic() - start
         self.stats.solve_calls += 1
         self.stats.solve_time += elapsed
-        default_registry().histogram(
-            "repro_sat_call_seconds",
-            "Per-call SAT solve latency by solve core.",
-            buckets=DEFAULT_SECONDS_BUCKETS,
-        ).observe(elapsed, backend=self.backend)
         return result
 
     # -------------------------------------------------------------- queries

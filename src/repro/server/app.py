@@ -4,11 +4,15 @@
 :class:`~repro.service.BatchRoutingService`: many concurrent clients submit
 routing jobs, identical submissions deduplicate into one solve, admission
 control sheds overload with 429s, and a metrics endpoint exposes the
-service's telemetry.  The HTTP layer -- connection handling, body parsing,
-the route table, ``/healthz``, ``/v1/routers``, ``/v1/devices`` and
-``/v1/events`` -- is the :class:`~repro.server.http.HttpFront` it shares
-with the fleet dispatcher; this module holds the gateway's own state (jobs,
-their queue, the service) and its handlers.
+service's per-job histograms and event counts.  The gateway installs its
+own ``info``-level :class:`~repro.obs.events.EventLog` on the service, so
+one log counts every job step and every gateway event, while ``/v1/events``
+and the ``--events-dir`` files keep only ``info`` and above.  The HTTP
+layer -- connection handling, body parsing, the route table, ``/healthz``,
+``/v1/routers``, ``/v1/devices`` and ``/v1/events`` -- is the
+:class:`~repro.server.http.HttpFront` it shares with the fleet dispatcher;
+this module holds the gateway's own state (jobs, their queue, the service)
+and its handlers.
 
 Endpoints (wire schemas in :mod:`repro.server.protocol`):
 
@@ -149,15 +153,12 @@ class RoutingGateway(HttpFront):
     sampler:
         A :class:`~repro.obs.sampling.TailSampler` deciding which finished
         traces are retained (store + JSONL).  ``None`` keeps every trace.
-    event_log:
-        The structured :class:`~repro.obs.events.EventLog`; created from
-        ``events_dir``/``trace_owner`` when omitted.  The gateway attaches
-        it to the service so telemetry-level events (failures, fallbacks,
-        cache churn) land in the same stream as admission and lifecycle
-        events.
     events_dir:
-        Directory for the event log's rotating JSONL sink (``None`` keeps
-        events in memory only); ignored when ``event_log`` is supplied.
+        Directory for the rotating JSONL sink of the gateway's ``info``-level
+        event log (``None`` keeps events in memory only).  The log replaces
+        the service's own, so job failures, fallbacks and cache churn land
+        next to admission and lifecycle events; the debug-level job steps
+        are counted but neither kept nor written.
     """
 
     def __init__(self, service: BatchRoutingService | None = None,
@@ -170,7 +171,6 @@ class RoutingGateway(HttpFront):
                  architectures: dict | None = None,
                  trace_dir=None, trace_owner: str | None = None,
                  slo=None, sampler: TailSampler | None = None,
-                 event_log: EventLog | None = None,
                  events_dir=None) -> None:
         super().__init__(host, port)
         self.service = service if service is not None else BatchRoutingService()
@@ -195,13 +195,13 @@ class RoutingGateway(HttpFront):
         else:
             self.slo = SloTracker(objectives=slo or ())
         self.sampler = sampler
-        self.event_log = (event_log if event_log is not None
-                          else EventLog(directory=events_dir,
-                                        owner=trace_owner))
-        self.service.attach_event_log(self.event_log)
-        #: One registry backs /metrics: the telemetry histograms are already
-        #: on it, and every gateway family is mirrored into it at scrape time.
-        self.metrics = self.service.telemetry.metrics
+        self.event_log = EventLog(directory=events_dir, owner=trace_owner,
+                                  level="info")
+        self.service.event_log = self.event_log
+        #: One registry backs /metrics: the service's per-job histograms are
+        #: already on it, and every gateway family is mirrored into it at
+        #: scrape time.
+        self.metrics = self.service.metrics
         self._gateway_seconds = self.metrics.histogram(
             "repro_gateway_job_seconds",
             "Submission-to-finish seconds per gateway job")
@@ -299,8 +299,8 @@ class RoutingGateway(HttpFront):
         if self.slo is not None:
             self.slo.observe(record.job.router, elapsed, ok=ok)
         if error is not None:
-            # Service-level failures already flow through telemetry into the
-            # event log; a batch-level crash never reaches telemetry, so the
+            # Service-level failures are already events in the shared log; a
+            # batch-level crash never reaches the service's recording, so the
             # gateway narrates it itself.
             self.event_log.emit("job-error", level="error",
                                 job_id=record.job_id,
@@ -457,10 +457,6 @@ class RoutingGateway(HttpFront):
         return 200, record.status_payload(include_result=True), {}
 
     async def _stats(self, request: Request) -> tuple[int, dict, dict]:
-        telemetry = self.service.telemetry
-        # dict() snapshots are atomic under the GIL; the executor thread
-        # mutates these counters while we serialise them.
-        telemetry_counters = dict(telemetry.counters)
         stats = {
             "uptime": self.uptime,
             "draining": self._draining,
@@ -468,10 +464,9 @@ class RoutingGateway(HttpFront):
             "jobs_known": len(self.jobs),
             "gateway": dict(self.counters),
             "admission": self.admission.stats(),
-            "telemetry": {kind: count
-                          for kind, count in sorted(telemetry_counters.items())
-                          if count},
-            "throughput": round(telemetry.throughput(), 4),
+            "telemetry": dict(sorted(
+                self.event_log.counts_by_event().items())),
+            "throughput": round(self.service.throughput(), 4),
         }
         if self.service.cache is not None:
             stats["cache"] = self.service.cache.stats()
@@ -523,11 +518,11 @@ class RoutingGateway(HttpFront):
     async def _metrics_text(self, request: Request) -> tuple[int, str, dict]:
         """The /metrics scrape: registry-driven Prometheus text exposition.
 
-        Gateway counters, admission stats, telemetry event counts, and cache
-        state are mirrored into the shared :class:`MetricsRegistry` at scrape
-        time, then the whole registry -- including the latency/queue/stage/
-        conflict histograms the telemetry log feeds -- renders as one
-        document through a single formatter.
+        Gateway counters, admission stats, event counts, and cache state are
+        mirrored into the shared :class:`MetricsRegistry` at scrape time,
+        then the whole registry -- including the latency/queue/stage/
+        conflict histograms the service feeds per finished job -- renders as
+        one document through a single formatter.
         """
         from repro import __version__
 
@@ -557,9 +552,10 @@ class RoutingGateway(HttpFront):
             "Submissions rejected by the controller, by reason")
         for reason in ("quota", "backpressure"):
             rejected.set_total(admission[f"rejected_{reason}"], reason=reason)
-        events = registry.counter("repro_telemetry_events_total",
-                                  "Service telemetry events, by kind")
-        for kind, count in sorted(dict(self.service.telemetry.counters).items()):
+        events = registry.counter(
+            "repro_telemetry_events_total",
+            "Events emitted by the service and the gateway, by kind")
+        for kind, count in sorted(self.event_log.counts_by_event().items()):
             events.set_total(count, kind=kind)
         if self.service.cache is not None:
             cache = self.service.cache.stats()

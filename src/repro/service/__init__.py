@@ -4,33 +4,33 @@ This subsystem turns the single-call routers of :mod:`repro.core` and
 :mod:`repro.baselines` into a throughput-oriented service:
 
 * :mod:`repro.service.jobs` -- self-contained, content-hashed job specs;
-* :mod:`repro.service.registry` -- routers constructible by name in workers;
 * :mod:`repro.service.cache` -- content-addressed, verified result cache
   (in-memory + on-disk JSON);
 * :mod:`repro.service.pool` -- process/thread/serial worker pool with
-  graceful per-job timeouts (best-so-far semantics);
+  graceful per-job timeouts (best-so-far semantics) and the fallback router;
 * :mod:`repro.service.portfolio` -- race SATMAP against heuristic baselines,
   return the cheapest verified result, cancel the losers;
 * :mod:`repro.service.queue` -- cost-priority batch scheduling with
   deterministic ordering and progress callbacks;
-* :mod:`repro.service.telemetry` -- structured per-job events and throughput
-  counters;
-* :mod:`repro.service.service` -- the :class:`BatchRoutingService` facade.
+* :mod:`repro.service.service` -- the :class:`BatchRoutingService` facade,
+  which emits each job step into an :class:`~repro.obs.events.EventLog` and
+  owns the per-job histograms.
+
+Routers are built by name or spec through :func:`repro.api.get_router`.
 """
 
 from repro.service.cache import ResultCache, payload_to_result, result_to_payload, verify_cached_result
 from repro.service.jobs import RoutingJob
-from repro.service.pool import WorkerPool, execute_job, is_fallback_result, outcome_to_result
-from repro.service.portfolio import race_portfolio, race_portfolio_batch
-from repro.service.queue import BatchProgress, JobQueue, dispatch_order
-from repro.service.registry import (
-    DEFAULT_PORTFOLIO,
+from repro.service.pool import (
     FALLBACK_ROUTER,
-    build_router,
-    router_names,
+    WorkerPool,
+    execute_job,
+    is_fallback_result,
+    outcome_to_result,
 )
+from repro.service.portfolio import DEFAULT_PORTFOLIO, race_portfolio, race_portfolio_batch
+from repro.service.queue import BatchProgress, JobQueue, dispatch_order
 from repro.service.service import BatchRoutingService
-from repro.service.telemetry import ServiceEvent, TelemetryLog
 
 __all__ = [
     "BatchRoutingService",
@@ -39,14 +39,10 @@ __all__ = [
     "WorkerPool",
     "JobQueue",
     "BatchProgress",
-    "TelemetryLog",
-    "ServiceEvent",
     "race_portfolio",
     "race_portfolio_batch",
     "is_fallback_result",
     "dispatch_order",
-    "build_router",
-    "router_names",
     "execute_job",
     "outcome_to_result",
     "result_to_payload",

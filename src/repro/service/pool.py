@@ -36,7 +36,11 @@ from repro.core.result import RoutingResult, RoutingStatus
 from repro.obs import trace as obs_trace
 from repro.service.cache import payload_to_result, result_to_payload
 from repro.service.jobs import RoutingJob
-from repro.service.registry import FALLBACK_ROUTER
+
+#: The router used to guarantee a feasible best-so-far answer when the
+#: primary router times out: single shortest-path SWAP chains, never fails on
+#: a connected architecture and runs in milliseconds.
+FALLBACK_ROUTER = "naive"
 
 #: Default extra wall-clock slack (seconds) granted on top of a job's budget
 #: before the pool declares a hard timeout.  Routers self-terminate at their

@@ -26,7 +26,12 @@ from repro.core.result import RoutingResult, RoutingStatus
 from repro.service.cache import verify_cached_result
 from repro.service.jobs import RoutingJob
 from repro.service.pool import WorkerPool, execute_job, outcome_to_result
-from repro.service.registry import DEFAULT_PORTFOLIO
+
+#: Default racing line-up: the anytime MaxSAT router plus two fast heuristics
+#: with very different search styles, so at least one entrant finishes early
+#: on every instance while SATMAP chases optimality.  Entries are router
+#: *specs*, so configured entrants like ``"satmap:slice_size=10"`` are valid.
+DEFAULT_PORTFOLIO: tuple[str, ...] = ("satmap", "sabre", "tket")
 
 
 def entrant_job(job: RoutingJob, router: str | RouterSpec) -> RoutingJob:

@@ -4,9 +4,10 @@
 content-addressed cache is consulted first, misses are ordered by estimated
 cost and fanned out over the worker pool (optionally as portfolio races),
 every produced result is re-checked by the independent verifier before it is
-cached, and structured telemetry records each step.  Results always come
-back in submission order, so a batch is deterministic regardless of worker
-count or completion order.
+cached, and each job step is one event in the service's
+:class:`~repro.obs.events.EventLog`.  Results always come back in submission
+order, so a batch is deterministic regardless of worker count or completion
+order.
 
 Typical use::
 
@@ -17,7 +18,7 @@ Typical use::
     jobs = [RoutingJob.from_circuit(circ, arch, router="satmap")
             for circ in circuits]
     results = service.route_batch(jobs)
-    print(service.telemetry.summary())
+    print(service.summary())
 """
 
 from __future__ import annotations
@@ -32,13 +33,12 @@ from repro.hardware.architecture import Architecture
 from repro.obs import trace as obs_trace
 from repro.obs.events import EventLog
 from repro.obs.export import JsonlTraceWriter
+from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.jobs import RoutingJob
 from repro.service.pool import WorkerPool, is_fallback_result
-from repro.service.portfolio import race_portfolio_batch
+from repro.service.portfolio import DEFAULT_PORTFOLIO, race_portfolio_batch
 from repro.service.queue import BatchProgress, JobQueue, ProgressCallback
-from repro.service.registry import DEFAULT_PORTFOLIO
-from repro.service.telemetry import TelemetryLog
 
 
 class BatchRoutingService:
@@ -60,7 +60,7 @@ class BatchRoutingService:
         ``None`` leaves it unbounded.  Ignored when an explicit ``cache``
         instance is supplied.
     portfolio:
-        ``True`` races :data:`~repro.service.registry.DEFAULT_PORTFOLIO`
+        ``True`` races :data:`~repro.service.portfolio.DEFAULT_PORTFOLIO`
         per job, a tuple of registry names races those, ``None``/``False``
         runs each job's own router only.
     fallback:
@@ -76,21 +76,15 @@ class BatchRoutingService:
     trace_dir:
         When set, every finished trace tree the service owns is appended as
         JSONL under this directory (size-rotated files).
-    event_log:
-        An :class:`~repro.obs.events.EventLog` that receives structured
-        operational events (job failures, fallbacks, cache evictions and
-        rejections) forwarded from telemetry.  ``None`` disables
-        forwarding; the gateway passes its own log so service-level events
-        land next to admission and lifecycle events.
-    """
 
-    #: Telemetry kinds that become operational events, with their severity.
-    _EVENT_SEVERITY = {
-        "failed": ("job-failed", "error"),
-        "fallback": ("solver-fallback", "warning"),
-        "cache-evict": ("cache-evict", "warning"),
-        "cache-reject": ("cache-reject", "warning"),
-    }
+    Every job step is one event in :attr:`event_log`: ``queued``,
+    ``started``, ``cache-hit``, ``cache-store`` and ``finished`` at
+    ``debug``; ``fallback``, ``cache-reject`` and ``cache-evict`` at
+    ``warning``; ``failed`` at ``error``.  The default log keeps them all.
+    A gateway built on the service replaces :attr:`event_log` with its own
+    ``info``-level log, which counts the debug steps without keeping them.
+    Finished jobs feed the per-job histograms on :attr:`metrics`.
+    """
 
     def __init__(
         self,
@@ -101,11 +95,9 @@ class BatchRoutingService:
         cache: ResultCache | bool | None = None,
         cache_max_bytes: int | None = None,
         portfolio: bool | tuple[str, ...] | None = None,
-        telemetry: TelemetryLog | None = None,
         fallback: bool = True,
         tracer: obs_trace.Tracer | bool | None = None,
         trace_dir: str | Path | None = None,
-        event_log: EventLog | None = None,
     ) -> None:
         if time_budget <= 0:
             raise ValueError("time_budget must be positive")
@@ -128,7 +120,30 @@ class BatchRoutingService:
                 for entry in portfolio)
         else:
             self.portfolio = None
-        self.telemetry = telemetry if telemetry is not None else TelemetryLog()
+        self.event_log = EventLog()
+        self.metrics = MetricsRegistry()
+        self._job_seconds = self.metrics.histogram(
+            "repro_job_seconds",
+            "End-to-end solve seconds per finished routing job")
+        self._stage_seconds = self.metrics.histogram(
+            "repro_stage_seconds",
+            "Solve-path seconds per stage (encode / solve / extract) "
+            "per finished job")
+        self._queue_wait = self.metrics.histogram(
+            "repro_queue_wait_seconds",
+            "Seconds a job waited between submission and dispatch")
+        self._solve_conflicts = self.metrics.histogram(
+            "repro_solve_conflicts",
+            "CDCL conflicts accumulated per finished job",
+            buckets=DEFAULT_COUNT_BUCKETS)
+        self._sat_solve_seconds = self.metrics.histogram(
+            "repro_sat_solve_seconds",
+            "Solve-stage seconds per finished job by SAT solve core "
+            "(backend label: python | native)")
+        #: Session-reuse counters summed over finished jobs.
+        self.clauses_streamed = 0
+        self.learnt_retained = 0
+        self._start = time.monotonic()
         self.fallback = fallback
         if tracer is False:
             self.tracer: obs_trace.Tracer | None = None
@@ -138,33 +153,9 @@ class BatchRoutingService:
             self.tracer = tracer
         self._trace_writer = (JsonlTraceWriter(trace_dir)
                               if trace_dir is not None else None)
-        self.event_log: EventLog | None = None
-        self.attach_event_log(event_log)
         self._max_workers = max_workers
         self._mode = mode
         self._pool: WorkerPool | None = None
-
-    def attach_event_log(self, event_log: EventLog | None) -> None:
-        """Start forwarding notable telemetry kinds into ``event_log``.
-
-        Idempotent-by-intent: the first attached log wins (the gateway
-        attaches its own log to a service built without one).
-        """
-        if event_log is None or self.event_log is not None:
-            return
-        self.event_log = event_log
-        self.telemetry.subscribe(self._forward_event)
-
-    def _forward_event(self, event) -> None:
-        """Telemetry subscriber: project notable kinds into the event log."""
-        mapped = self._EVENT_SEVERITY.get(event.kind)
-        if mapped is None or self.event_log is None:
-            return
-        name, level = mapped
-        fields = {key: value for key, value in event.detail.items()
-                  if key not in ("event", "level")}
-        self.event_log.emit(name, level=level, job_key=event.job_key,
-                            job_name=event.job_name, **fields)
 
     # ----------------------------------------------------------- lifecycle
 
@@ -214,11 +205,10 @@ class BatchRoutingService:
         duplicates: list[tuple[int, int]] = []  # (index, index of first occurrence)
         for index, job in enumerate(jobs):
             key_job = key_jobs[index]
-            self.telemetry.record("queued", job.key, job.name, router=job.router)
+            self._record("queued", job, router=job.router)
             cached = self.cache.get(key_job) if self.cache is not None else None
             if cached is not None:
-                self.telemetry.record("cache-hit", job.key, job.name,
-                                      swaps=cached.swap_count)
+                self._record("cache-hit", job, swaps=cached.swap_count)
                 results[index] = cached
                 report(index, cached)
             elif key_job.content_hash() in first_occurrence:
@@ -274,15 +264,14 @@ class BatchRoutingService:
 
         if self.portfolio is not None and ordered_jobs:
             for job in ordered_jobs:
-                self.telemetry.record("started", job.key, job.name,
-                                      entrants=len(self.portfolio))
+                self._record("started", job, entrants=len(self.portfolio))
             raced = race_portfolio_batch(ordered_jobs, budget,
                                          entrants=self.portfolio, pool=self.pool)
             for slot, (job, result) in enumerate(zip(ordered_jobs, raced)):
                 finish(slot, job, result)
         elif ordered_jobs:
             for job in ordered_jobs:
-                self.telemetry.record("started", job.key, job.name, router=job.router)
+                self._record("started", job, router=job.router)
             self.pool.run(ordered_jobs, budget, on_done=finish)
 
         # Phase 3: duplicates of a computed job are served from the cache
@@ -292,8 +281,8 @@ class BatchRoutingService:
             served = self.cache.get(key_jobs[index]) if self.cache is not None else None
             if served is None:
                 served = results[source]
-            self.telemetry.record("cache-hit", job.key, job.name, dedup=True,
-                                  swaps=served.swap_count if served.solved else -1)
+            self._record("cache-hit", job, dedup=True,
+                         swaps=served.swap_count if served.solved else -1)
             results[index] = served
             report(index, served)
 
@@ -361,16 +350,21 @@ class BatchRoutingService:
             router = "portfolio:" + "+".join(self.portfolio)
         return job.with_router(router, options=options)
 
+    def _record(self, kind: str, job: RoutingJob, level: str = "debug",
+                **detail) -> None:
+        self.event_log.emit(kind, level=level, job_key=job.key,
+                            job_name=job.name, **detail)
+
     def _record_outcome(self, job: RoutingJob, key_job: RoutingJob,
                         result: RoutingResult) -> None:
         if not result.solved:
-            self.telemetry.record("failed", job.key, job.name,
-                                  status=result.status.value)
+            self._record("failed", job, level="error",
+                         status=result.status.value)
             return
         rescued = is_fallback_result(result)
         if rescued:
-            self.telemetry.record("fallback", job.key, job.name,
-                                  router=result.router_name)
+            self._record("fallback", job, level="warning",
+                         router=result.router_name)
         if self.cache is not None and not rescued:
             # Fallback substitutes are never cached: the key names the
             # requested router, and a rescued answer stored under it would
@@ -379,46 +373,75 @@ class BatchRoutingService:
             # it is refused and surfaces as a cache-reject event.
             evicted_before = self.cache.evictions
             if self.cache.put(key_job, result):
-                self.telemetry.record("cache-store", job.key, job.name)
+                self._record("cache-store", job)
             else:
-                self.telemetry.record("cache-reject", job.key, job.name)
+                self._record("cache-reject", job, level="warning")
             evicted = self.cache.evictions - evicted_before
             if evicted:
-                # Size-bound eviction triggered by this store: observable in
-                # telemetry (and the server's /metrics) like any other event.
-                self.telemetry.record("cache-evict", job.key, job.name,
-                                      evicted=evicted,
-                                      total_bytes=self.cache.total_bytes())
-        detail = {"swaps": result.swap_count,
-                  "solve_time": round(result.solve_time, 6)}
-        # Per-stage solve-path timings (encode / solve / extract) and session
-        # reuse counters, when the router reports them: this is what makes
-        # incremental solving observable from the service.
+                # Size-bound eviction triggered by this store: an event
+                # (and a /metrics count) like any other.
+                self._record("cache-evict", job, level="warning",
+                             evicted=evicted,
+                             total_bytes=self.cache.total_bytes())
+        # Per-stage solve-path timings (encode / solve / extract), session
+        # reuse and CDCL depth, when the router reports them: this is what
+        # makes incremental solving observable from the service.
+        self._job_seconds.observe(result.solve_time)
         for stage, seconds in result.stage_timings.items():
-            detail[f"stage_{stage}"] = round(seconds, 6)
-        if result.clauses_streamed:
-            detail["clauses_streamed"] = result.clauses_streamed
-        if result.learnt_clauses_retained:
-            detail["learnt_retained"] = result.learnt_clauses_retained
-        # CDCL depth counters, so telemetry and /metrics see how hard the
-        # SAT core worked, not just how long.
-        for counter in ("conflicts", "propagations", "restarts",
-                        "learnt_clauses"):
-            if counter in result.solver_stats:
-                detail[counter] = int(result.solver_stats[counter])
-        if result.solver_stats.get("backend"):
-            detail["solver_backend"] = str(result.solver_stats["backend"])
+            self._stage_seconds.observe(seconds, stage=stage)
+        self.clauses_streamed += result.clauses_streamed
+        self.learnt_retained += result.learnt_clauses_retained
+        stats = result.solver_stats
+        if "conflicts" in stats:
+            self._solve_conflicts.observe(float(stats["conflicts"]))
+        if stats.get("backend"):
+            self._sat_solve_seconds.observe(
+                result.stage_timings.get("solve", result.solve_time),
+                backend=str(stats["backend"]))
         if result.trace is not None:
             waited = obs_trace.find_span(result.trace, "queue-wait")
             if waited is not None and waited.get("duration") is not None:
-                detail["queue_wait"] = round(float(waited["duration"]), 6)
-        self.telemetry.record("finished", job.key, job.name, **detail)
+                self._queue_wait.observe(float(waited["duration"]))
+        self._record("finished", job, swaps=result.swap_count,
+                     solve_time=round(result.solve_time, 6))
+
+    # ------------------------------------------------------------- roll-ups
+
+    @property
+    def jobs_finished(self) -> int:
+        """Completed jobs, cache hits included."""
+        counts = self.event_log.counts_by_event()
+        return counts.get("finished", 0) + counts.get("cache-hit", 0)
+
+    def throughput(self) -> float:
+        """Completed jobs (including cache hits) per wall-clock second."""
+        elapsed = time.monotonic() - self._start
+        return self.jobs_finished / elapsed if elapsed > 0 else 0.0
+
+    def summary(self) -> str:
+        """Multi-line human-readable roll-up of the job counters."""
+        lines = ["service telemetry:"]
+        for kind, count in sorted(self.event_log.counts_by_event().items()):
+            lines.append(f"  {kind:<12} {count}")
+        lines.append(f"  {'wall time':<12} "
+                     f"{time.monotonic() - self._start:.3f}s")
+        lines.append(f"  {'solver time':<12} {self._job_seconds.sum:.3f}s")
+        for stage in ("encode", "solve", "extract"):
+            series = self._stage_seconds.snapshot(stage=stage)
+            if series["count"]:
+                lines.append(f"  {'· ' + stage:<12} {series['sum']:.3f}s")
+        if self.clauses_streamed:
+            lines.append(f"  {'streamed':<12} {self.clauses_streamed} clauses")
+        if self.learnt_retained:
+            lines.append(f"  {'learnt kept':<12} {self.learnt_retained} clauses")
+        lines.append(f"  {'throughput':<12} {self.throughput():.2f} jobs/s")
+        return "\n".join(lines)
 
     def stats(self) -> dict:
-        """Joint cache + telemetry counters for dashboards and tests."""
-        stats = {"throughput": self.telemetry.throughput(),
-                 "jobs_finished": self.telemetry.jobs_finished,
-                 "events": len(self.telemetry.events)}
+        """Joint cache + job counters for dashboards and tests."""
+        stats = {"throughput": self.throughput(),
+                 "jobs_finished": self.jobs_finished,
+                 "events": len(self.event_log)}
         if self.cache is not None:
             stats["cache"] = self.cache.stats()
         if self._pool is not None:

@@ -111,26 +111,3 @@ class TestOldConstructorsStillWork:
             block, 2, ARCH, router=repro.SatMapRouter(time_budget=10,
                                                       verify=False))
         assert result.solved
-
-
-class TestDeprecationShims:
-    def test_service_registry_shims_over_api(self):
-        from repro.service.registry import build_router, display_name, router_names
-
-        assert router_names() == repro.list_routers()
-        router = build_router("satmap", 5.0, {"slice_size": 10})
-        assert router.slice_size == 10 and router.time_budget == 5.0
-        # Spec strings work through the legacy entry point too.
-        assert build_router("sabre:seed=9", 5.0).seed == 9
-        assert display_name("satmap") == "SATMAP"
-        with pytest.raises(KeyError):
-            build_router("no-such", 5.0)
-
-    def test_get_router_equals_legacy_build_router(self):
-        from repro.service.registry import build_router
-
-        legacy = build_router("sabre", 5.0, {"seed": 2})
-        modern = get_router("sabre:seed=2", time_budget=5.0)
-        circuit = small_circuit()
-        assert (legacy.route(circuit, ARCH).swap_count
-                == modern.route(circuit, ARCH).swap_count)

@@ -74,6 +74,13 @@ class TestTail:
             log.emit("tick", index=index)
         assert [r["index"] for r in log.tail(limit=2)] == [3, 4]
 
+    def test_non_positive_limit_returns_nothing(self):
+        log = EventLog()
+        for index in range(3):
+            log.emit("tick", index=index)
+        assert log.tail(limit=0) == []
+        assert log.tail(limit=-1) == []
+
 
 class TestFileSink:
     def test_events_append_as_jsonl_with_owner_tag(self, tmp_path):

@@ -85,5 +85,5 @@ class TestServiceTraces:
         with BatchRoutingService(mode="serial", cache=False,
                                  time_budget=10.0) as service:
             service.route_batch([small_job()])
-            histogram = service.telemetry.metrics.get("repro_queue_wait_seconds")
+            histogram = service.metrics.get("repro_queue_wait_seconds")
             assert histogram.count >= 1

@@ -11,7 +11,6 @@ import random
 
 from repro.sat import ClauseSink, SatSession, SatSolver
 from repro.maxsat.wcnf import WcnfBuilder
-from repro.obs.metrics import default_registry
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> list[list[int]]:
@@ -92,25 +91,6 @@ class TestSessionBasics:
         assert described["clauses_streamed"] == 1
         assert described["solve_calls"] == 1
         assert described["num_vars"] == 2
-
-    def test_solve_observes_the_per_call_histogram(self):
-        # Per call, in the process-wide registry; the per-job solve-stage
-        # histogram (repro_sat_solve_seconds) belongs to the service.
-        session = SatSession()
-        session.add_hard([1, 2])
-
-        def calls() -> int:
-            histogram = default_registry().get("repro_sat_call_seconds")
-            if histogram is None:
-                return 0
-            return histogram.snapshot(backend=session.backend)["count"]
-
-        before = calls()
-        session.solve()
-        session.solve(assumptions=[-1])
-        assert calls() == before + 2
-        assert default_registry().get("repro_sat_solve_seconds") is None
-
 
 class TestSessionEquivalence:
     """Session-reuse verdicts == from-scratch verdicts on random CNF."""

@@ -66,8 +66,8 @@ class TestSingleSolveDedup:
         assert counters["submitted"] == 1
         assert counters["deduplicated"] == 7
         # the service really solved it once: one "finished" event, total
-        telemetry = gateway.gateway.service.telemetry
-        assert telemetry.counters["finished"] == 1
+        counts = gateway.gateway.service.event_log.counts_by_event()
+        assert counts["finished"] == 1
 
     def test_distinct_jobs_all_solve(self, gateway_factory):
         gateway = gateway_factory()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -221,6 +222,16 @@ class TestMetricsAndStats:
         assert 'repro_telemetry_events_total{kind="finished"} 1' in text
         assert "repro_cache_stores_total 1" in text
         assert 'wire_version="1"' in text
+
+    def test_metrics_carry_the_per_job_sat_solve_histogram(self, client,
+                                                           circuit):
+        ticket = client.submit(circuit, architecture="tokyo6",
+                               router="satmap")
+        assert client.wait(ticket["job_id"], timeout=30).solved
+        text = client.metrics_text()
+        assert re.search(
+            r'^repro_sat_solve_seconds_count\{backend="(python|native)"\} 1$',
+            text, re.MULTILINE)
 
     def test_stats_json(self, client, circuit):
         ticket = client.submit(circuit, architecture="tokyo6", router="sabre")

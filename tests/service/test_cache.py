@@ -8,10 +8,10 @@ import pytest
 
 from repro.circuits.random_circuits import random_circuit
 from repro.hardware.topologies import line_architecture
+from repro.api import get_router
 from repro.service import (
     ResultCache,
     RoutingJob,
-    build_router,
     payload_to_result,
     result_to_payload,
 )
@@ -25,7 +25,7 @@ def job() -> RoutingJob:
 
 @pytest.fixture
 def solved_result(job):
-    router = build_router(job.router, time_budget=10.0)
+    router = get_router(job.router, time_budget=10.0)
     result = router.route(job.circuit(), job.architecture())
     assert result.solved
     return result

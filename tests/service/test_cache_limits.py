@@ -159,7 +159,7 @@ class TestServiceIntegration:
             results = service.route_batch(jobs)
             assert all(result.solved for result in results)
             assert service.cache.evictions >= 1
-            assert service.telemetry.counters["cache-evict"] >= 1
-            evict_events = [event for event in service.telemetry.events
-                            if event.kind == "cache-evict"]
-            assert evict_events[0].detail["evicted"] >= 1
+            assert service.event_log.counts_by_event()["cache-evict"] >= 1
+            evict_events = service.event_log.tail(event="cache-evict")
+            assert evict_events[0]["level"] == "warning"
+            assert evict_events[0]["evicted"] >= 1

@@ -30,7 +30,7 @@ class TestFallbackProvenance:
             # the poisoning scenario: the answer came from the fallback
             # router, so the satmap-keyed entry must not exist
             assert len(list(tmp_path.glob("*.json"))) == 0
-            assert service.telemetry.counters.get("fallback", 0) == 1
+            assert service.event_log.counts_by_event().get("fallback", 0) == 1
         else:
             # budget was enough after all; the genuine result may be cached
             assert result.router_name == "SATMAP"
@@ -45,7 +45,7 @@ class TestFallbackProvenance:
             assert result.router_name == "SATMAP"
         else:
             # a timeout stays a timeout record, attributable to satmap
-            assert service.telemetry.counters["failed"] == 1
+            assert service.event_log.counts_by_event()["failed"] == 1
 
 
 class TestPortfolioProvenance:
@@ -120,10 +120,11 @@ class TestCrashTolerance:
         """A full disk degrades to memory-only caching, not a failed batch."""
         from pathlib import Path
 
-        from repro.service import ResultCache, build_router
+        from repro.api import get_router
+        from repro.service import ResultCache
 
         job = make_job(router="sabre", gates=8)
-        result = build_router("sabre", 10.0).route(job.circuit(), job.architecture())
+        result = get_router("sabre", time_budget=10.0).route(job.circuit(), job.architecture())
         cache = ResultCache(directory=tmp_path)
         monkeypatch.setattr(Path, "write_text",
                             lambda self, *a, **k: (_ for _ in ()).throw(
@@ -134,7 +135,7 @@ class TestCrashTolerance:
 
 class TestDisplayNames:
     def test_registry_display_names_match_router_self_reports(self):
-        from repro.service.registry import display_name
+        from repro.api import display_name
 
         assert display_name("satmap") == "SATMAP"
         assert display_name("sabre") == "SABRE"
@@ -149,5 +150,5 @@ class TestDedupTelemetry:
             results = service.route_batch([job, job, job], time_budget=10.0)
         assert all(result.solved for result in results)
         # 1 computed + 2 dedup-served: throughput accounting sees all 3
-        assert service.telemetry.jobs_finished == 3
-        assert service.telemetry.counters["cache-hit"] == 2
+        assert service.jobs_finished == 3
+        assert service.event_log.counts_by_event()["cache-hit"] == 2

@@ -7,10 +7,10 @@ import pytest
 from repro.circuits.random_circuits import random_circuit
 from repro.core.verifier import verify_routing
 from repro.hardware.topologies import reduced_tokyo_architecture
+from repro.api import get_router
 from repro.service import (
     RoutingJob,
     WorkerPool,
-    build_router,
     execute_job,
     outcome_to_result,
     race_portfolio,
@@ -98,7 +98,7 @@ class TestPortfolio:
         assert winner.solved
         standalone_costs = []
         for name in entrants:
-            result = build_router(name, 10.0).route(job.circuit(), job.architecture())
+            result = get_router(name, time_budget=10.0).route(job.circuit(), job.architecture())
             if result.solved:
                 standalone_costs.append(result.added_cnots)
         assert standalone_costs, "at least one entrant must solve standalone"
