@@ -11,6 +11,7 @@ small -- one map step regardless of circuit length -- so it never times out on
 circuits where full SATMAP does.
 """
 
+import pytest
 from _harness import SATMAP_BUDGET, run_once, save_report
 
 from repro.analysis.reporting import render_table
@@ -36,6 +37,9 @@ def run_experiment():
     return suite, records
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: slice-local optima are myopic; sliced SATMAP "
+    "(slice_size=10) totals 8 SWAPs against 3 for HYBRID and SABRE"))
 def test_ablation_hybrid_router(benchmark):
     suite, records = run_once(benchmark, run_experiment)
 

@@ -10,12 +10,14 @@ NL-SATMAP solves to optimality, no slice size produces a cheaper solution
 (cost ratio >= 1 after accounting for both being feasible).
 """
 
+import pytest
 from _harness import SATMAP_BUDGET, run_once, save_report
 
 from repro.analysis.experiments import run_many_routers
 from repro.analysis.reporting import render_cost_ratio_summary, render_solve_rate_table
 from repro.analysis.suite import default_architecture, small_suite
 from repro.core import SatMapRouter
+from repro.sat.backends import resolve_backend
 
 SLICE_SIZES = (5, 10, 25)
 
@@ -32,6 +34,9 @@ def run_experiment():
     return comparison, len(suite)
 
 
+@pytest.mark.xfail(resolve_backend() == "native", strict=True, reason=(
+    "ROADMAP item 1: the native core is unsound; NL-SATMAP claims OPTIMAL "
+    "19 SWAPs on small_03_q6_g40, where slicing finds 11"))
 def test_table2_fig13_local_relaxation(benchmark):
     comparison, total = run_once(benchmark, run_experiment)
     solve_table = render_solve_rate_table(

@@ -250,8 +250,6 @@ def _common_options(time_budget: float = 60.0) -> tuple[OptionField, ...]:
 _SATMAP_OPTIONS = (
     OptionField("swaps_per_gate", "int", 1,
                 "SWAP slots available before each two-qubit gate"),
-    OptionField("strategy", "str", "linear",
-                "MaxSAT strategy: 'linear' (anytime) or 'core-guided'"),
     OptionField("backtrack_limit", "int", 10,
                 "max backtracking steps of the local relaxation"),
     OptionField("collapse_repeated_pairs", "bool", True,
@@ -345,8 +343,6 @@ def _register_builtins() -> None:
             OptionField("fallback_reset", "bool", True,
                         "on cyclic UNSAT/timeout, route plainly and append "
                         "reset swaps"),
-            OptionField("strategy", "str", "linear",
-                        "MaxSAT strategy: 'linear' or 'core-guided'"),
             OptionField("solver_backend", "str", None, allow_none=True,
                         help="SAT solve core: 'python', 'native', or 'auto'"),
         ),
@@ -358,8 +354,6 @@ def _register_builtins() -> None:
         options=_common_options() + (
             OptionField("placement_share", "float", 0.5,
                         "fraction of the budget spent on MaxSAT placement"),
-            OptionField("strategy", "str", "linear",
-                        "MaxSAT strategy of the placement solve"),
             OptionField("solver_backend", "str", None, allow_none=True,
                         help="SAT solve core: 'python', 'native', or 'auto'"),
         ),

@@ -37,7 +37,7 @@ from repro.baselines.olsq import OlsqStyleRouter
 from repro.baselines.exact_mqt import ExhaustiveOptimalRouter
 from repro.baselines.trivial import NaiveShortestPathRouter
 from repro.baselines.bmt_like import BmtLikeRouter, embeds_without_swaps
-from repro.baselines.token_swapping import (
+from repro.hardware.token_swapping import (
     approximate_token_swapping,
     swap_distance_lower_bound,
 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.api import BaseRouter
 from repro.baselines.base import RoutedBuilder
-from repro.baselines.token_swapping import approximate_token_swapping
+from repro.hardware.token_swapping import approximate_token_swapping
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.result import RoutingResult
 from repro.hardware.architecture import Architecture

@@ -10,9 +10,9 @@ to its starting point, the copies compose without any extra routing.
 repeated circuit.  When the block itself is too large for a monolithic solve,
 ``fallback_reset=True`` (default) routes the block with the locally optimal
 relaxation instead and appends an explicitly computed SWAP sequence that
-restores the initial mapping (a greedy token-swapping pass over the coupling
-graph), preserving the "final map == initial map" property the stitching step
-relies on.
+restores the initial mapping (approximate token swapping, see
+:mod:`repro.hardware.token_swapping`), preserving the "final map == initial
+map" property the stitching step relies on.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.core.result import RoutingResult
 from repro.core.satmap import SatMapRouter
 from repro.core.verifier import verify_routing
 from repro.hardware.architecture import Architecture
+from repro.hardware.token_swapping import approximate_token_swapping
 
 
 def route_cyclic(
@@ -136,8 +137,7 @@ class CyclicRouter(BaseRouter):
 
     def __init__(self, cycles: int = 1, time_budget: float = 60.0,
                  slice_size: int | None = None, swaps_per_gate: int = 1,
-                 fallback_reset: bool = True, strategy: str = "linear",
-                 verify: bool = True,
+                 fallback_reset: bool = True, verify: bool = True,
                  solver_backend: str | None = None) -> None:
         if cycles <= 0:
             raise ValueError("cycles must be positive")
@@ -146,7 +146,6 @@ class CyclicRouter(BaseRouter):
         self.slice_size = slice_size
         self.swaps_per_gate = swaps_per_gate
         self.fallback_reset = fallback_reset
-        self.strategy = strategy
         self.solver_backend = solver_backend
 
     def _route(self, circuit: QuantumCircuit, architecture: Architecture,
@@ -154,7 +153,6 @@ class CyclicRouter(BaseRouter):
         inner = SatMapRouter(slice_size=self.slice_size,
                              swaps_per_gate=self.swaps_per_gate,
                              time_budget=self.time_budget,
-                             strategy=self.strategy,
                              solver_backend=self.solver_backend,
                              verify=False, name=self.name)
         # route_cyclic verifies against the *composed* circuit when asked;
@@ -201,8 +199,8 @@ def _route_block_with_reset(block: QuantumCircuit, architecture: Architecture,
         router.time_budget = original_budget
     if not base.solved or base.routed_circuit is None:
         return base
-    reset_edges = reset_swap_sequence(base.initial_mapping, base.final_mapping,
-                                      architecture)
+    reset_edges = approximate_token_swapping(architecture, base.final_mapping,
+                                             base.initial_mapping)
     routed = base.routed_circuit.copy()
     for edge in reset_edges:
         routed.append_op("swap", edge)
@@ -211,49 +209,3 @@ def _route_block_with_reset(block: QuantumCircuit, architecture: Architecture,
     base.final_mapping = dict(base.initial_mapping)
     base.notes = "block routed with reset swaps"
     return base
-
-
-def reset_swap_sequence(initial_mapping: dict[int, int],
-                        final_mapping: dict[int, int],
-                        architecture: Architecture) -> list[tuple[int, int]]:
-    """SWAPs (as physical edges) that turn ``final_mapping`` back into ``initial_mapping``.
-
-    Greedy token swapping: repeatedly pick a logical qubit that is not yet at
-    its target physical position and move it one step along a shortest path,
-    preferring swaps that also help the qubit currently occupying that step.
-    """
-    current = dict(final_mapping)
-    target = dict(initial_mapping)
-    physical_of = dict(current)
-    swaps: list[tuple[int, int]] = []
-    guard = 0
-    limit = 4 * architecture.num_qubits ** 2
-    while physical_of != target:
-        guard += 1
-        if guard > limit:
-            raise RuntimeError("token swapping failed to converge")
-        progressed = False
-        for logical in sorted(target):
-            if physical_of.get(logical) == target[logical]:
-                continue
-            source = physical_of[logical]
-            destination = target[logical]
-            path = architecture.shortest_path(source, destination)
-            next_position = path[1]
-            swaps.append((min(source, next_position), max(source, next_position)))
-            occupant = _logical_at(physical_of, next_position)
-            physical_of[logical] = next_position
-            if occupant is not None:
-                physical_of[occupant] = source
-            progressed = True
-            break
-        if not progressed:
-            break
-    return swaps
-
-
-def _logical_at(mapping: dict[int, int], physical: int) -> int | None:
-    for logical, position in mapping.items():
-        if position == physical:
-            return logical
-    return None

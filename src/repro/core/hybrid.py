@@ -43,14 +43,12 @@ class HybridSatMapRouter(BaseRouter):
     """Optimal MaxSAT placement followed by SABRE routing."""
 
     def __init__(self, time_budget: float = 60.0, placement_share: float = 0.5,
-                 strategy: str = "linear", verify: bool = True,
-                 solver_backend: str | None = None,
+                 verify: bool = True, solver_backend: str | None = None,
                  name: str = "HYBRID-SATMAP") -> None:
         if not 0.0 < placement_share < 1.0:
             raise ValueError("placement_share must be strictly between 0 and 1")
         super().__init__(time_budget=time_budget, verify=verify)
         self.placement_share = placement_share
-        self.strategy = strategy
         self.solver_backend = solver_backend
         self.name = name
 
@@ -101,7 +99,7 @@ class HybridSatMapRouter(BaseRouter):
         builder.attach_sink(session)
         num_logical = circuit.num_qubits
         num_physical = architecture.num_qubits
-        result = MaxSatSolver(self.strategy, session=session).solve(
+        result = MaxSatSolver(session=session).solve(
             builder, time_budget=time_budget)
         stats = {
             "sat_calls": result.sat_calls,

@@ -116,9 +116,9 @@ class SatMapRouter(BaseRouter):
     swaps_per_gate:
         The paper's ``n``: SWAP slots available before each two-qubit gate.
     time_budget:
-        Wall-clock budget in seconds for the whole routing call.
-    strategy:
-        MaxSAT strategy, ``"linear"`` (anytime, default) or ``"core-guided"``.
+        Wall-clock budget in seconds for the whole routing call.  The MaxSAT
+        search is the anytime linear SAT->UNSAT search, so an expired budget
+        still yields the best model found so far.
     backtrack_limit:
         Maximum number of backtracking steps the local relaxation may take.
     noise_model:
@@ -137,7 +137,6 @@ class SatMapRouter(BaseRouter):
         slice_size: int | None = None,
         swaps_per_gate: int = 1,
         time_budget: float = 60.0,
-        strategy: str = "linear",
         backtrack_limit: int = 10,
         collapse_repeated_pairs: bool = True,
         noise_model: NoiseModel | None = None,
@@ -158,7 +157,6 @@ class SatMapRouter(BaseRouter):
         super().__init__(time_budget=time_budget, verify=verify)
         self.slice_size = slice_size
         self.swaps_per_gate = swaps_per_gate
-        self.strategy = strategy
         self.backtrack_limit = backtrack_limit
         self.collapse_repeated_pairs = collapse_repeated_pairs
         self.noise_model = noise_model
@@ -236,7 +234,7 @@ class SatMapRouter(BaseRouter):
             assumptions = encoding.initial_mapping_assumptions(fixed_initial_mapping)
 
         solve_start = time.monotonic()
-        with obs_trace.span("solve", strategy=self.strategy) as solve_span:
+        with obs_trace.span("solve") as solve_span:
             maxsat_result = context.maxsat.solve(encoding.builder,
                                                  time_budget=time_budget,
                                                  assumptions=assumptions)
@@ -308,7 +306,7 @@ class SatMapRouter(BaseRouter):
         return SliceContext(
             session=session,
             encoding=encoding,
-            maxsat=MaxSatSolver(self.strategy, session=session),
+            maxsat=MaxSatSolver(session=session),
             instance_key=instance_key,
             leading_slots=leading_slots,
             swaps_per_gate=swaps_per_gate,

@@ -6,7 +6,9 @@ routing sub-problem of the BMT/Enfield family of mappers the paper cites
 (Siraichi et al., "Qubit allocation as a combination of subgraph isomorphism
 and token swapping"), and it is also how a router can move between two
 arbitrary complete mappings -- for example between the final map of one
-circuit region and the initial map of the next.
+circuit region and the initial map of the next.  The BMT-style baseline
+routes with it, and the cyclic relaxation (:mod:`repro.core.cyclic`) uses it
+to return a routed block's final map to its initial map.
 
 :func:`approximate_token_swapping` runs in two phases.  The *greedy* phase
 repeatedly applies the edge swap with the largest strictly positive decrease

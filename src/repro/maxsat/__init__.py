@@ -3,19 +3,14 @@
 The paper's tool calls Open-WBO-Inc-MCS, an *anytime* MaxSAT solver: it keeps
 improving a model of the hard constraints and can be interrupted at any point,
 returning the best solution found so far.  This package reproduces that
-behaviour with two strategies built on our CDCL solver:
-
-* :class:`repro.maxsat.linear_search.LinearSearchSolver` -- model-improving
-  linear SAT->UNSAT search with a (generalised) totalizer bound.  This is the
-  default strategy and the closest analogue of Open-WBO-Inc-MCS.
-* :class:`repro.maxsat.core_guided.FuMalikSolver` -- core-guided search, used
-  as an ablation and for small unweighted instances.
-* :class:`repro.maxsat.rc2.OllSolver` -- the weighted OLL / RC2 algorithm,
-  the third strategy of the MaxSAT ablation study.
+behaviour with one search built on our CDCL solver:
+:class:`repro.maxsat.linear_search.LinearSearchSolver`, a model-improving
+linear SAT->UNSAT search with a (generalised) totalizer bound, run on a live
+:class:`~repro.sat.session.SatSession`.
 
 :class:`repro.maxsat.solver.MaxSatSolver` is the facade the rest of the
-library uses; it accepts a :class:`repro.maxsat.wcnf.WcnfBuilder`, a strategy
-name, and a time budget.
+library uses; it accepts a :class:`repro.maxsat.wcnf.WcnfBuilder`, an
+optional session, and a time budget.
 """
 
 from repro.maxsat.wcnf import WcnfBuilder

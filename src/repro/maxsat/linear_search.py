@@ -1,6 +1,6 @@
 """Anytime linear SAT->UNSAT MaxSAT search.
 
-This is the strategy SATMAP relies on in the paper (via Open-WBO-Inc-MCS): the
+This is the search SATMAP relies on in the paper (via Open-WBO-Inc-MCS): the
 solver repeatedly asks the underlying SAT solver for a model of the hard
 clauses, measures its cost (total weight of falsified soft clauses), adds a
 bound "cost must be strictly smaller", and repeats.  The last model found
@@ -9,18 +9,14 @@ be interrupted by a time budget at any point and still returns the best model
 seen so far -- this is what makes the approach usable on circuits where the
 optimum is out of reach.
 
-Two execution modes share one code path:
-
-* **From scratch** (no session): every ``solve()`` call builds a fresh
-  :class:`~repro.sat.solver.SatSolver`, loads the hard clauses, relaxes the
-  soft clauses, and discards everything at the end -- the original behaviour.
-* **Session-backed**: with a :class:`~repro.sat.session.SatSession` the hard
-  clauses stream into one live solver exactly once, the soft-clause selectors
-  and the totalizer bound structure are built exactly once, and cost bounds
-  are expressed as *assumptions* on totalizer outputs instead of permanent
-  unit clauses.  Repeated ``solve()`` calls (with different base assumptions,
-  e.g. a slicing re-solve under a new pinned initial map) therefore reuse the
-  formula, the relaxation, and everything the solver has learnt.
+The search always runs on a live :class:`~repro.sat.session.SatSession` (the
+one it is given, or one of its own): the hard clauses stream into the
+session's solver exactly once, the soft-clause selectors and the totalizer
+bound structure are built exactly once, and cost bounds are expressed as
+*assumptions* on totalizer outputs instead of permanent unit clauses.
+Repeated ``solve()`` calls (with different base assumptions, e.g. a slicing
+re-solve under a new pinned initial map) therefore reuse the formula, the
+relaxation, and everything the solver has learnt.
 """
 
 from __future__ import annotations
@@ -32,8 +28,7 @@ from dataclasses import dataclass
 from repro.maxsat.cardinality import GeneralizedTotalizer, Totalizer
 from repro.maxsat.wcnf import WcnfBuilder, clause_satisfied
 from repro.sat.session import SatSession
-from repro.sat.backends import create_solver
-from repro.sat.solver import SatSolver, SolverStatus
+from repro.sat.solver import SolverStatus
 
 #: How many soft clauses are relaxed between wall-clock budget checks.
 _SELECTOR_BUDGET_STRIDE = 128
@@ -64,51 +59,39 @@ class LinearSearchSolver:
     """
 
     def __init__(self, builder: WcnfBuilder, max_bound_weight: int = 32,
-                 session: SatSession | None = None,
-                 solver_backend: str | None = None) -> None:
+                 session: SatSession | None = None) -> None:
         if max_bound_weight < 1:
             raise ValueError("max_bound_weight must be at least 1")
         self.builder = builder
         self.max_bound_weight = max_bound_weight
-        self.session = session
-        #: Solve core for the session-less path (None: env / auto); when a
-        #: session is present its own backend wins.
-        self.solver_backend = solver_backend
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        self._sat: SatSolver | None = None
-        self._loaded_hard = 0
+        self.session = session if session is not None else SatSession()
         self._weighted_selectors: list[tuple[int, int]] = []
         self._weighted = False
         self._approximate = False
         self._bound_weights: list[int] = []
         self._totalizer: Totalizer | None = None
         self._gte: GeneralizedTotalizer | None = None
-        self._session_generation = (self.session.generation
-                                    if self.session is not None else 0)
 
     # ---------------------------------------------------------------- solve
 
     def solve(
         self,
         time_budget: float | None = None,
-        per_call_conflict_budget: int | None = None,
         assumptions: list[int] | None = None,
     ) -> LinearSearchOutcome:
         """Run the search under an optional wall-clock budget (seconds).
 
         ``assumptions`` are base literals assumed in every SAT call of this
-        run; session-backed callers use them to pin per-call context (a
-        slice's inherited initial map) without touching the formula.
+        run; callers use them to pin per-call context (a slice's inherited
+        initial map) without touching the formula.
         """
         start = time.monotonic()
         builder = self.builder
         base_assumptions = list(assumptions or [])
-        if self.session is None:
-            # From-scratch semantics: nothing survives between calls.
-            self._reset_state()
-        sat = self._attach_solver()
+        # Stream (idempotently) through the builder: clauses the session has
+        # already seen are not replayed.
+        builder.attach_sink(self.session)
+        sat = self.session.solver
 
         # Relax the soft clauses (budget-aware: large encodings can spend the
         # whole budget here, and the anytime contract must still hold).
@@ -118,8 +101,7 @@ class LinearSearchSolver:
                 sat_calls=0, elapsed=time.monotonic() - start)
 
         remaining = self._remaining(start, time_budget)
-        result = sat.solve(assumptions=base_assumptions, time_budget=remaining,
-                           conflict_budget=per_call_conflict_budget)
+        result = sat.solve(assumptions=base_assumptions, time_budget=remaining)
         sat_calls = 1
         if result.status is not SolverStatus.SAT:
             # UNSAT here means the hard clauses (under the base assumptions)
@@ -149,7 +131,7 @@ class LinearSearchSolver:
             return LinearSearchOutcome(True, False, best_cost, best_model, sat_calls,
                                        time.monotonic() - start)
 
-        self._prepare_bound(sat)
+        self._prepare_bound()
 
         best_bound_cost = self._bound_cost(best_model, builder, self._bound_weights)
         optimal = False
@@ -168,8 +150,7 @@ class LinearSearchSolver:
             if remaining is not None and remaining <= 0:
                 break
             result = sat.solve(assumptions=base_assumptions + bound_assumptions,
-                               time_budget=remaining,
-                               conflict_budget=per_call_conflict_budget)
+                               time_budget=remaining)
             sat_calls += 1
             if result.status is SolverStatus.SAT:
                 cost = builder.cost_of_model(result.model)
@@ -201,66 +182,28 @@ class LinearSearchSolver:
             elapsed=time.monotonic() - start,
         )
 
-    # ------------------------------------------------------------ formula IO
-
-    def _attach_solver(self) -> SatSolver:
-        """The solver holding the hard clauses: session-backed or fresh."""
-        if self.session is not None:
-            if self.session.generation != self._session_generation:
-                # The session was reset: its solver lost our relaxation
-                # clauses, so the prepared selectors and bound structure are
-                # meaningless.  Start over on the fresh solver.
-                self._reset_state()
-            # Stream (idempotently) through the builder: clauses the session
-            # has already seen are not replayed.
-            self.builder.attach_sink(self.session)
-            self._sat = self.session.solver
-            return self._sat
-        if self._sat is None:
-            self._sat = create_solver(self.solver_backend)
-            self._loaded_hard = self.builder.stream_hard(self._sat)
-        return self._sat
-
-    def _sync_hard_clauses(self, sat: SatSolver, builder: WcnfBuilder) -> None:
-        """Feed hard clauses added to the builder since the last sync."""
-        if self.session is not None:
-            builder.sync_sink()
-            return
-        self._loaded_hard = builder.stream_hard(sat, self._loaded_hard)
-
-    def _add_relaxation_clause(self, sat: SatSolver, clause: list[int]) -> None:
-        """Selector relaxation clauses go straight to the solver.
-
-        They are search scaffolding, not part of the instance, so they never
-        enter the builder's hard clauses (keeping exports and clause counts
-        faithful).
-        """
-        if self.session is not None:
-            self.session.ensure_vars(self.builder.num_vars)
-            self.session.add_hard(clause)
-        else:
-            sat.ensure_vars(self.builder.num_vars)
-            sat.add_clause(clause)
-
     # ----------------------------------------------------------- relaxation
 
     def _prepare_selectors(self, start: float, time_budget: float | None) -> bool:
         """Relax each soft clause with a selector; ``False`` if the budget died.
 
         The selector being true means the soft clause is (possibly) violated.
-        Session-backed runs prepare once and reuse: a second call with the
-        same soft clauses skips straight through.  Budget expiry keeps the
+        Selectors are prepared once and reused: a second call with the same
+        soft clauses skips straight through.  Budget expiry keeps the
         selectors already built, so a later call resumes from where this one
         stopped instead of re-relaxing (and duplicating) the prefix.
+        Relaxation clauses go straight to the session, never into the
+        builder: they are search scaffolding, not part of the instance, so
+        exports and clause counts stay faithful.
         """
         builder = self.builder
-        sat = self._sat
+        session = self.session
         progress = len(self._weighted_selectors)
         total = len(builder.soft)
         if progress == total:
             return True
         if progress > total:
-            # The soft set shrank or was rewritten under a prepared session:
+            # The soft set shrank or was rewritten under a prepared search:
             # rebuild the relaxation from scratch.  The old selectors and
             # bound structure become inert (their outputs are never assumed
             # again).
@@ -283,17 +226,15 @@ class LinearSearchSolver:
                 # For unit soft clauses the negation of the literal is its own
                 # selector; no auxiliary variable or clause is needed.
                 selector = -soft.literals[0]
-                if self.session is not None:
-                    self.session.ensure_vars(abs(selector))
-                else:
-                    sat.ensure_vars(abs(selector))
+                session.ensure_vars(abs(selector))
             else:
                 selector = builder.new_var()
-                self._add_relaxation_clause(sat, soft.literals + [selector])
+                session.ensure_vars(builder.num_vars)
+                session.add_hard(soft.literals + [selector])
             self._weighted_selectors.append((selector, soft.weight))
         return True
 
-    def _prepare_bound(self, sat: SatSolver) -> None:
+    def _prepare_bound(self) -> None:
         """Build the totalizer bound structure once (its clauses are hard).
 
         Large weights are clustered so the generalized totalizer stays
@@ -320,7 +261,9 @@ class LinearSearchSolver:
             self._bound_weights = [1] * len(weighted_selectors)
             self._totalizer = Totalizer(builder,
                                         [sel for sel, _ in weighted_selectors])
-        self._sync_hard_clauses(sat, builder)
+        # The totalizer clauses streamed through the attached builder; the
+        # sync also declares its output variables to the session.
+        builder.sync_sink()
 
     def _bound_assumptions(self, best_bound_cost: int) -> list[int]:
         """Assumption literals asserting "bound cost strictly below the best"."""

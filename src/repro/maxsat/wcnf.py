@@ -18,10 +18,9 @@ The builder is itself a :class:`repro.sat.session.ClauseSink`, and it can be
 *attached* to another sink -- typically a live
 :class:`~repro.sat.session.SatSession`.  While attached, every hard clause or
 buffer is streamed into the session the moment it is added (a buffer in one
-``add_flat`` call), so the MaxSAT strategies never replay the store into a
-fresh solver: by the time a strategy runs, the session already holds the
-formula.  Readers that feed a solver of their own use
-:meth:`~WcnfBuilder.stream_hard`.
+``add_flat`` call), so the MaxSAT search never replays the store into a
+fresh solver: by the time it runs, the session already holds the formula.
+Readers that feed a solver of their own use :meth:`~WcnfBuilder.stream_hard`.
 """
 
 from __future__ import annotations
@@ -63,9 +62,6 @@ class WcnfBuilder:
     _sink: object | None = field(default=None, repr=False, compare=False)
     #: Words of the hard clauses the sink has already received.
     _streamed: int = field(default=0, repr=False, compare=False)
-    #: The sink generation last streamed to; a mismatch (session reset)
-    #: restarts streaming from the first clause.
-    _sink_generation: int = field(default=0, repr=False, compare=False)
 
     def new_var(self) -> int:
         """Allocate a fresh Boolean variable and return its index."""
@@ -150,16 +146,9 @@ class WcnfBuilder:
 
     # ------------------------------------------------------------ streaming
 
-    @property
-    def sink(self) -> object | None:
-        """The attached streaming sink, if any."""
-        return self._sink
-
     def _in_sync(self) -> bool:
         """Whether the sink holds every clause so far (fast streaming path)."""
-        sink = self._sink
-        return (sink is not None and self._streamed == self._num_words
-                and getattr(sink, "generation", 0) == self._sink_generation)
+        return self._sink is not None and self._streamed == self._num_words
 
     def attach_sink(self, sink) -> None:
         """Stream hard clauses into ``sink`` as they are added.
@@ -169,34 +158,15 @@ class WcnfBuilder:
         its clauses the moment they exist.  Attaching a *different* sink
         restarts streaming from the first clause for that sink.
         """
-        if sink is self._sink:
-            self.sync_sink()
-            return
-        self._sink = sink
-        self._streamed = 0
-        self._sink_generation = getattr(sink, "generation", 0)
+        if sink is not self._sink:
+            self._sink = sink
+            self._streamed = 0
         self.sync_sink()
 
-    def detach_sink(self) -> None:
-        """Stop streaming; the builder reverts to a plain container."""
-        self._sink = None
-        self._streamed = 0
-        self._sink_generation = 0
-
     def sync_sink(self) -> None:
-        """Stream any hard clauses the attached sink has not seen yet.
-
-        A sink whose ``generation`` changed (a reset session) is treated as
-        empty and re-fed the whole formula.
-        """
-        sink = self._sink
-        if sink is None:
-            return
-        generation = getattr(sink, "generation", 0)
-        if generation != self._sink_generation:
-            self._streamed = 0
-            self._sink_generation = generation
-        self._streamed = self.stream_hard(sink, self._streamed)
+        """Stream any hard clauses the attached sink has not seen yet."""
+        if self._sink is not None:
+            self._streamed = self.stream_hard(self._sink, self._streamed)
 
     def stream_hard(self, target, start: int = 0) -> int:
         """Feed the hard clauses from word ``start`` on into ``target``.

@@ -474,10 +474,10 @@ def validate_trace(tree: "Span | dict", epsilon: float = 0.05) -> list[str]:
 
 
 #: Attribute keys surfaced inline by the renderer, in display order.
-_RENDER_ATTRS = ("status", "router", "strategy", "slice", "iteration",
-                 "swaps", "conflicts", "propagations", "decisions",
-                 "restarts", "learnt_retained", "clauses_streamed",
-                 "cache_hit", "dedup", "solved")
+_RENDER_ATTRS = ("status", "router", "slice", "iteration", "swaps",
+                 "conflicts", "propagations", "decisions", "restarts",
+                 "learnt_retained", "clauses_streamed", "cache_hit", "dedup",
+                 "solved")
 
 
 def _format_value(value) -> str:

@@ -1,22 +1,20 @@
 """Persistent solve sessions and streaming clause ingestion.
 
-The MaxSAT stack used to pay a rebuild tax on every SAT call: each strategy
-constructed a fresh :class:`~repro.sat.solver.SatSolver` and replayed every
-hard clause into it.  A :class:`SatSession` removes that tax by keeping one
-CDCL solver alive across an arbitrary number of ``solve()`` calls: hard
-clauses are streamed in exactly once, and everything the solver learns --
-learnt clauses, VSIDS activity, saved phases -- survives between calls, so
-related solves (the MaxSAT refinement loop, slicing backtrack re-solves) get
-faster as the session warms up.
+A :class:`SatSession` keeps one CDCL solver alive across an arbitrary
+number of ``solve()`` calls, so no SAT call pays to rebuild a solver and
+replay every hard clause into it: hard clauses are streamed in exactly once,
+and everything the solver learns -- learnt clauses, VSIDS activity, saved
+phases -- survives between calls, so related solves (the MaxSAT refinement
+loop, slicing backtrack re-solves) get faster as the session warms up.
 
 :class:`ClauseSink` is the structural protocol for "something clauses can be
 streamed into": both :class:`SatSession` and
 :class:`repro.maxsat.wcnf.WcnfBuilder` satisfy it, which lets the QMR encoder
 emit clauses directly into a live solver while it encodes instead of
-materialising a list that a strategy later copies back in.  Clauses arrive
-one at a time (``add_hard``) or a whole constraint family at once as a flat
-zero-terminated int32 buffer (``add_flat``, see :mod:`repro.sat.flat`),
-which the native core ingests in a single call.
+materialising a list that the MaxSAT search later copies back in.  Clauses
+arrive one at a time (``add_hard``) or a whole constraint family at once as
+a flat zero-terminated int32 buffer (``add_flat``, see
+:mod:`repro.sat.flat`), which the native core ingests in a single call.
 """
 
 from __future__ import annotations
@@ -70,15 +68,11 @@ class SatSession:
     """
 
     def __init__(self, backend: str | None = None, **solver_kwargs) -> None:
-        self._solver_kwargs = dict(solver_kwargs)
         #: The concrete solve core in use ("python" or "native"), resolved
         #: once at construction: explicit arg > $REPRO_SAT_BACKEND > auto.
         self.backend = resolve_backend(backend)
         self.solver = create_solver(self.backend, **solver_kwargs)
         self.stats = SessionStats()
-        #: Bumped by :meth:`reset`.  Attached builders compare it on sync so a
-        #: reset session is re-fed the full formula instead of staying empty.
-        self.generation = 0
 
     # ----------------------------------------------------------- ClauseSink
 
@@ -154,16 +148,3 @@ class SatSession:
     def solver_stats(self) -> dict:
         """The underlying solver's cumulative depth counters, as a dict."""
         return self.solver.stats.as_dict()
-
-    def reset(self) -> None:
-        """Discard all solver state and start an empty session.
-
-        Streaming counters reset too: a reset session reports what the fresh
-        solver has actually seen.  The generation bump makes any attached
-        :class:`~repro.maxsat.wcnf.WcnfBuilder` restream its formula on the
-        next sync, so the fresh solver never silently answers for an empty
-        one.
-        """
-        self.solver = create_solver(self.backend, **self._solver_kwargs)
-        self.stats = SessionStats()
-        self.generation += 1

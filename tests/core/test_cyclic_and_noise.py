@@ -1,46 +1,65 @@
 """Tests for the cyclic relaxation (Section VI) and the noise-aware objective (Q6)."""
 
+import random
+
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, cx
 from repro.circuits.qaoa import maxcut_qaoa_circuit, qaoa_repeated_block
 from repro.core import NoiseAwareSatMapRouter, SatMapRouter, route_cyclic, verify_routing
-from repro.core.cyclic import reset_swap_sequence
 from repro.core.result import RoutingStatus
+from repro.hardware import named_architectures
 from repro.hardware.noise import NoiseModel
+from repro.hardware.token_swapping import apply_swaps, approximate_token_swapping
 from repro.hardware.topologies import grid_architecture, line_architecture, ring_architecture
+
+
+def reset_swaps(initial, final, arch):
+    """The SWAPs the cyclic reset appends: they turn ``final`` into ``initial``."""
+    swaps = approximate_token_swapping(arch, final, initial)
+    for a, b in swaps:
+        assert arch.are_adjacent(a, b)
+    assert apply_swaps(final, swaps) == initial
+    return swaps
 
 
 class TestResetSwapSequence:
     def test_identity_needs_no_swaps(self):
         arch = line_architecture(3)
         mapping = {0: 0, 1: 1, 2: 2}
-        assert reset_swap_sequence(mapping, dict(mapping), arch) == []
+        assert reset_swaps(mapping, dict(mapping), arch) == []
 
     def test_single_transposition(self):
         arch = line_architecture(3)
         initial = {0: 0, 1: 1, 2: 2}
         final = {0: 1, 1: 0, 2: 2}
-        swaps = reset_swap_sequence(initial, final, arch)
+        swaps = reset_swaps(initial, final, arch)
         assert swaps == [(0, 1)]
 
     def test_reset_restores_mapping(self):
         arch = grid_architecture(2, 3)
         initial = {0: 0, 1: 1, 2: 2, 3: 3}
         final = {0: 4, 1: 2, 2: 0, 3: 5}
-        swaps = reset_swap_sequence(initial, final, arch)
-        current = dict(final)
-        for a, b in swaps:
-            assert arch.are_adjacent(a, b)
-            moved = {}
-            for logical, physical in current.items():
-                if physical == a:
-                    moved[logical] = b
-                elif physical == b:
-                    moved[logical] = a
-            current.update(moved)
-        assert current == initial
+        reset_swaps(initial, final, arch)
+
+    def test_reset_where_the_greedy_deadlocks(self):
+        # A pair on which a pure greedy walk cycles without converging; the
+        # spanning-tree completion must still finish it.
+        arch = named_architectures()["tokyo8"]
+        initial = {0: 1, 1: 3, 2: 2, 3: 0}
+        final = {0: 0, 1: 1, 2: 5, 3: 4}
+        reset_swaps(initial, final, arch)
+
+    @pytest.mark.parametrize("name", sorted(named_architectures()))
+    def test_reset_converges_on_every_catalog_device(self, name):
+        arch = named_architectures()[name]
+        rng = random.Random(name)
+        for _ in range(8):
+            tokens = rng.randint(1, arch.num_qubits)
+            initial = dict(enumerate(rng.sample(range(arch.num_qubits), tokens)))
+            final = dict(enumerate(rng.sample(range(arch.num_qubits), tokens)))
+            reset_swaps(initial, final, arch)
 
 
 class TestCyclicRouting:

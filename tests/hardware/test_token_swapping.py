@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.token_swapping import (
+from repro.hardware.token_swapping import (
     apply_swaps,
     approximate_token_swapping,
     swap_distance_lower_bound,

@@ -1,8 +1,5 @@
-"""Tests for the linear-search and core-guided MaxSAT strategies."""
+"""Tests for the anytime linear-search MaxSAT solver."""
 
-import pytest
-
-from repro.maxsat.core_guided import FuMalikSolver
 from repro.maxsat.linear_search import LinearSearchSolver
 from repro.maxsat.wcnf import WcnfBuilder
 
@@ -80,66 +77,3 @@ class TestLinearSearch:
     def test_sat_call_count_recorded(self):
         outcome = LinearSearchSolver(simple_instance()).solve()
         assert outcome.sat_calls >= 2  # at least one improvement + one proof
-
-
-class TestFuMalik:
-    def test_finds_optimum_of_simple_instance(self):
-        outcome = FuMalikSolver(simple_instance()).solve()
-        assert outcome.found_model and outcome.optimal
-        assert outcome.cost == 1
-
-    def test_rejects_weighted_instances(self):
-        builder = WcnfBuilder()
-        a = builder.new_var()
-        builder.add_soft([a], weight=2)
-        with pytest.raises(ValueError):
-            FuMalikSolver(builder)
-
-    def test_zero_cost_instance(self):
-        builder = WcnfBuilder()
-        a, b = builder.new_vars(2)
-        builder.add_hard([a, b])
-        builder.add_soft([a, b])
-        outcome = FuMalikSolver(builder).solve()
-        assert outcome.optimal and outcome.cost == 0
-
-    def test_hard_unsat_reported(self):
-        builder = WcnfBuilder()
-        a = builder.new_var()
-        builder.add_hard([a])
-        builder.add_hard([-a])
-        builder.add_soft([a])
-        outcome = FuMalikSolver(builder).solve()
-        assert not outcome.found_model
-        assert outcome.cost == -1
-
-    def test_multiple_cores_needed(self):
-        # Three mutually exclusive soft requirements on one variable pair.
-        builder = WcnfBuilder()
-        a, b = builder.new_vars(2)
-        builder.add_hard([a, b])
-        builder.add_soft([-a])
-        builder.add_soft([-b])
-        builder.add_soft([-a, -b])
-        outcome = FuMalikSolver(builder).solve()
-        assert outcome.optimal
-        assert outcome.cost == 1
-
-    def test_agreement_with_linear_search(self):
-        builder_a = WcnfBuilder()
-        variables = builder_a.new_vars(4)
-        builder_a.add_hard([variables[0], variables[1]])
-        builder_a.add_hard([-variables[1], variables[2]])
-        for variable in variables:
-            builder_a.add_soft([-variable])
-
-        builder_b = WcnfBuilder()
-        variables_b = builder_b.new_vars(4)
-        builder_b.add_hard([variables_b[0], variables_b[1]])
-        builder_b.add_hard([-variables_b[1], variables_b[2]])
-        for variable in variables_b:
-            builder_b.add_soft([-variable])
-
-        linear = LinearSearchSolver(builder_a).solve()
-        core_guided = FuMalikSolver(builder_b).solve()
-        assert linear.cost == core_guided.cost

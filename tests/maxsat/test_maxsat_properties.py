@@ -1,4 +1,4 @@
-"""Property-based tests: MaxSAT strategies agree with brute force and each other."""
+"""Property-based tests: the MaxSAT search agrees with brute force."""
 
 import itertools
 
@@ -52,7 +52,7 @@ class TestAgainstBruteForce:
     def test_linear_search_unweighted(self, instance):
         num_vars, hard, soft = instance
         expected = brute_force_optimum(num_vars, hard, soft)
-        result = MaxSatSolver("linear").solve(make_builder(num_vars, hard, soft))
+        result = MaxSatSolver().solve(make_builder(num_vars, hard, soft))
         if expected is None:
             assert result.status is MaxSatStatus.UNSATISFIABLE
         else:
@@ -63,27 +63,17 @@ class TestAgainstBruteForce:
     def test_linear_search_weighted(self, instance):
         num_vars, hard, soft = instance
         expected = brute_force_optimum(num_vars, hard, soft)
-        result = MaxSatSolver("linear").solve(make_builder(num_vars, hard, soft))
+        result = MaxSatSolver().solve(make_builder(num_vars, hard, soft))
         if expected is None:
             assert result.status is MaxSatStatus.UNSATISFIABLE
         else:
             assert result.is_optimal and result.cost == expected
-
-    @given(maxsat_instance(weighted=False))
-    @settings(max_examples=30, deadline=None)
-    def test_core_guided_matches_linear(self, instance):
-        num_vars, hard, soft = instance
-        linear = MaxSatSolver("linear").solve(make_builder(num_vars, hard, soft))
-        core = MaxSatSolver("core-guided").solve(make_builder(num_vars, hard, soft))
-        assert linear.status == core.status
-        if linear.is_optimal:
-            assert linear.cost == core.cost
 
     @given(maxsat_instance(weighted=True))
     @settings(max_examples=25, deadline=None)
     def test_optimal_model_cost_matches_reported_cost(self, instance):
         num_vars, hard, soft = instance
         builder = make_builder(num_vars, hard, soft)
-        result = MaxSatSolver("linear").solve(builder)
+        result = MaxSatSolver().solve(builder)
         if result.has_model:
             assert builder.cost_of_model(result.model) == result.cost

@@ -7,11 +7,13 @@ Open-WBO-Inc; these tests pin down when clustering kicks in and that it never
 breaks correctness, only proof-of-optimality.
 """
 
+import itertools
+
 import pytest
 
 from repro.maxsat.linear_search import LinearSearchSolver
 from repro.maxsat.solver import MaxSatSolver, MaxSatStatus
-from repro.maxsat.wcnf import WcnfBuilder
+from repro.maxsat.wcnf import WcnfBuilder, clause_satisfied
 
 
 def _conflicting_pair(weight_a, weight_b):
@@ -50,7 +52,7 @@ class TestClusterWeights:
 class TestSmallWeightsStayExact:
     def test_exact_optimum_with_small_weights(self):
         builder, variable = _conflicting_pair(5, 1)
-        result = MaxSatSolver("linear").solve(builder)
+        result = MaxSatSolver().solve(builder)
         assert result.status is MaxSatStatus.OPTIMAL
         assert result.cost == 1
         assert result.model[variable] is True
@@ -59,7 +61,7 @@ class TestSmallWeightsStayExact:
 class TestLargeWeightsStayCorrect:
     def test_clustered_instance_prefers_heavy_clause(self):
         builder, variable = _conflicting_pair(5000, 700)
-        result = MaxSatSolver("linear").solve(builder)
+        result = MaxSatSolver().solve(builder)
         assert result.has_model
         assert result.cost == 700
         assert result.model[variable] is True
@@ -71,28 +73,30 @@ class TestLargeWeightsStayCorrect:
         builder.add_soft([-a], weight=900)
         builder.add_soft([-b], weight=450)
         builder.add_soft([a, b], weight=1200)  # already implied by the hard clause
-        result = MaxSatSolver("linear").solve(builder)
+        result = MaxSatSolver().solve(builder)
         assert result.has_model
         # Best solution sets b (cost 450); clustering must still find it.
         assert result.cost == 450
 
-    def test_cost_matches_rc2_on_clustered_instance(self):
-        def build():
-            builder = WcnfBuilder()
-            a, b, c = builder.new_vars(3)
-            builder.add_hard([a, b, c])
-            builder.add_soft([-a], weight=1000)
-            builder.add_soft([-b], weight=999)
-            builder.add_soft([-c], weight=100)
-            builder.add_soft([a], weight=300)
-            return builder
+    def test_cost_matches_brute_force_on_clustered_instance(self):
+        builder = WcnfBuilder()
+        a, b, c = builder.new_vars(3)
+        builder.add_hard([a, b, c])
+        builder.add_soft([-a], weight=1000)
+        builder.add_soft([-b], weight=999)
+        builder.add_soft([-c], weight=100)
+        builder.add_soft([a], weight=300)
+        exact = min(
+            builder.cost_of_model(model)
+            for bits in itertools.product([False, True], repeat=3)
+            for model in [dict(zip((a, b, c), bits))]
+            if clause_satisfied([a, b, c], model))
 
-        linear = MaxSatSolver("linear").solve(build())
-        exact = MaxSatSolver("rc2").solve(build())
-        assert exact.status is MaxSatStatus.OPTIMAL
+        linear = MaxSatSolver().solve(builder)
+        assert exact == 400
         assert linear.has_model
         # Clustering may cost a little precision but not much on 4 clauses.
-        assert linear.cost <= exact.cost * 1.2 + 1
+        assert linear.cost <= exact * 1.2 + 1
 
 
 class TestNoiseAwareBudgetRespected:

@@ -3,7 +3,7 @@
 The native backend (``repro.sat._native.core`` driven by
 :class:`~repro.sat.native.NativeSatSolver`) is only admissible because it is
 *observably interchangeable* with the pure-Python :class:`SatSolver`: same
-SAT/UNSAT verdicts, same MaxSAT optima through every strategy, same routing
+SAT/UNSAT verdicts, same MaxSAT optima, same routing
 results, and byte-identical job content hashes (backend choice must never
 leak into cache keys).  These tests pin that contract.
 
@@ -113,13 +113,18 @@ class TestVerdictEquivalence:
 
 @needs_native
 class TestOptimaEquivalence:
-    """Linear and OLL strategies reach the same optimum on either core."""
+    """The linear search reaches the same optimum on either core.
+
+    ``max_weight`` 1 bounds the cost with a totalizer, 4 with a generalized
+    totalizer over weighted soft clauses.
+    """
 
     @staticmethod
-    def _random_wcnf(rng: random.Random) -> tuple[int, list, list]:
+    def _random_wcnf(rng: random.Random,
+                     max_weight: int) -> tuple[int, list, list]:
         num_vars = rng.randint(3, 8)
         hard = random_cnf(rng, num_vars, rng.randint(0, 10))
-        soft = [(rng.randint(1, 4), clause)
+        soft = [(rng.randint(1, max_weight), clause)
                 for clause in random_cnf(rng, num_vars, rng.randint(2, 8))]
         return num_vars, hard, soft
 
@@ -133,28 +138,27 @@ class TestOptimaEquivalence:
             builder.add_soft(list(clause), weight)
         return builder
 
-    @pytest.mark.parametrize("strategy", ["linear", "rc2"])
-    def test_same_optima(self, strategy):
+    @pytest.mark.parametrize("max_weight", [1, 4])
+    def test_same_optima(self, max_weight):
         rng = random.Random(2204)
         for _ in range(15):
-            num_vars, hard, soft = self._random_wcnf(rng)
+            num_vars, hard, soft = self._random_wcnf(rng, max_weight)
             outcomes = {}
             for backend in ("python", "native"):
-                solver = MaxSatSolver(strategy,
-                                      session=SatSession(backend=backend))
+                solver = MaxSatSolver(session=SatSession(backend=backend))
                 result = solver.solve(self._build(num_vars, hard, soft))
                 outcomes[backend] = (result.status, result.cost)
             assert outcomes["python"] == outcomes["native"], (hard, soft)
 
-    @pytest.mark.parametrize("strategy", ["linear", "rc2"])
-    def test_same_optima_without_session(self, strategy):
-        """The session-less path resolves its own solver per strategy."""
+    @pytest.mark.parametrize("max_weight", [1, 4])
+    def test_same_optima_without_session(self, max_weight):
+        """A facade given no session solves on a fresh one of its backend."""
         rng = random.Random(2205)
         for _ in range(8):
-            num_vars, hard, soft = self._random_wcnf(rng)
+            num_vars, hard, soft = self._random_wcnf(rng, max_weight)
             outcomes = {}
             for backend in ("python", "native"):
-                solver = MaxSatSolver(strategy, solver_backend=backend)
+                solver = MaxSatSolver(solver_backend=backend)
                 result = solver.solve(self._build(num_vars, hard, soft))
                 outcomes[backend] = (result.status, result.cost)
             assert outcomes["python"] == outcomes["native"], (hard, soft)

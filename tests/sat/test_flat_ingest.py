@@ -194,19 +194,6 @@ def test_builder_rejects_a_bad_buffer_without_storing_it():
     assert builder.to_dimacs().hard == [[1]] and builder.num_vars == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_reset_session_is_restreamed_in_bulk(backend):
-    session = SatSession(backend=backend)
-    builder = WcnfBuilder()
-    builder.attach_sink(session)
-    builder.add_flat(flat([[1, 2], [-1], [-2, 3]]))
-    session.reset()
-    builder.sync_sink()
-    assert session.stats.clauses_streamed == 3
-    result = session.solve()
-    assert result.is_sat and result.model[2] and result.model[3]
-
-
 @pytest.mark.skipif(not native_available(), reason="compiled SAT core not built")
 class TestCrossCheckSeesBulkClauses:
     """Cross-check mode must log clauses that arrived through ``add_flat``."""

@@ -57,32 +57,6 @@ class TestSessionBasics:
         session.solve(assumptions=[1])
         assert session.learnt_clauses_retained >= learnt >= 0
 
-    def test_reset_discards_everything(self):
-        session = SatSession()
-        session.add_hard([1])
-        session.add_hard([-1])
-        assert session.solve().is_unsat
-        session.reset()
-        assert session.ok
-        assert session.stats.clauses_streamed == 0
-        session.add_hard([2])
-        assert session.solve().is_sat
-
-    def test_reset_makes_attached_builders_restream(self):
-        """A reset session must be re-fed the formula, not answer for nothing."""
-        builder = WcnfBuilder()
-        v = builder.new_var()
-        session = SatSession()
-        builder.attach_sink(session)
-        builder.add_hard([v])
-        builder.add_hard([-v])
-        assert session.solve().is_unsat
-        session.reset()
-        builder.sync_sink()
-        # The fresh solver holds the (still unsatisfiable) formula again.
-        assert session.stats.clauses_streamed > 0
-        assert session.solve().is_unsat
-
     def test_describe_reports_reuse_counters(self):
         session = SatSession()
         session.add_hard([1, 2])

@@ -146,12 +146,13 @@ class TestBadRequests:
         assert excinfo.value.status == 400
         assert "slice_size" in str(excinfo.value)
 
-    def test_removed_router_option_400(self, client, circuit):
+    @pytest.mark.parametrize("option", ["incremental=false", "strategy=bogus"])
+    def test_removed_router_option_400(self, client, circuit, option):
         with pytest.raises(ServerError) as excinfo:
             client.submit(circuit, architecture="tokyo8",
-                          router="satmap:incremental=false")
+                          router=f"satmap:{option}")
         assert excinfo.value.status == 400
-        assert "incremental" in str(excinfo.value)
+        assert option.split("=")[0] in str(excinfo.value)
 
     def test_malformed_request_line_gets_http_400(self, gateway):
         import socket

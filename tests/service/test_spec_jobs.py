@@ -2,7 +2,9 @@
 
 import json
 
-from repro.api import RouterSpec
+import pytest
+
+from repro.api import RouterSpec, SpecError
 from repro.circuits.random_circuits import random_circuit
 from repro.hardware.topologies import line_architecture
 from repro.service.jobs import RoutingJob
@@ -22,14 +24,23 @@ class TestJobsFromSpecs:
         assert job.options == {"seed": 7, "lookahead_size": 5}
 
     def test_from_spec_validates(self):
-        import pytest
-
         circuit = random_circuit(4, 10, seed=1)
         arch = line_architecture(5)
         job = RoutingJob.from_spec(circuit, arch, "satmap:slice_size=10")
         assert job.spec() == RouterSpec("satmap", {"slice_size": 10})
         with pytest.raises(Exception):
             RoutingJob.from_spec(circuit, arch, "satmap:bogus=1")
+
+    @pytest.mark.parametrize("name", ["satmap", "nl-satmap", "noise-satmap",
+                                      "cyclic", "hybrid"])
+    def test_there_is_no_maxsat_strategy_option(self, name):
+        # One MaxSAT search: a spec naming any strategy, even the search
+        # itself, is refused when the job is built, not when it runs.
+        circuit = random_circuit(4, 10, seed=1)
+        arch = line_architecture(5)
+        for value in ("linear", "bogus"):
+            with pytest.raises(SpecError, match="strategy"):
+                RoutingJob.from_spec(circuit, arch, f"{name}:strategy={value}")
 
     def test_content_payload_embeds_the_canonical_spec_dict(self):
         job = make_job(router="sabre:seed=7")
