@@ -37,10 +37,6 @@ from repro.baselines.olsq import OlsqStyleRouter
 from repro.baselines.exact_mqt import ExhaustiveOptimalRouter
 from repro.baselines.trivial import NaiveShortestPathRouter
 from repro.baselines.bmt_like import BmtLikeRouter, embeds_without_swaps
-from repro.hardware.token_swapping import (
-    approximate_token_swapping,
-    swap_distance_lower_bound,
-)
 
 __all__ = [
     "RoutedBuilder",
@@ -52,6 +48,4 @@ __all__ = [
     "NaiveShortestPathRouter",
     "BmtLikeRouter",
     "embeds_without_swaps",
-    "approximate_token_swapping",
-    "swap_distance_lower_bound",
 ]

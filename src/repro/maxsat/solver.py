@@ -8,12 +8,12 @@ budget ran out, or a report that no model of the hard clauses was found.  The
 search behind it is the anytime linear SAT->UNSAT search of
 :mod:`repro.maxsat.linear_search`.
 
-Construct the facade with a :class:`~repro.sat.session.SatSession` to make it
-*incremental*: the session's CDCL solver stays alive across ``solve()``
-calls, hard clauses stream in exactly once, and repeated solves of the same
-builder (a slicing backtrack re-solve under new ``assumptions``) reuse the
-relaxation and everything the solver has learnt instead of rebuilding.
-Without one, every call solves on a fresh session of its own.
+The facade always solves on a :class:`~repro.sat.session.SatSession` (the
+one it is given, or one of its own): the session's CDCL solver stays alive
+across ``solve()`` calls, hard clauses stream in exactly once, and repeated
+solves of the same builder (a slicing backtrack re-solve under new
+``assumptions``) reuse the relaxation and everything the solver has learnt
+instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -61,20 +61,15 @@ class MaxSatSolver:
     Parameters
     ----------
     session:
-        Optional persistent :class:`~repro.sat.session.SatSession`.  With a
-        session the underlying SAT solver, the streamed hard clauses, and the
-        learnt-clause database survive between ``solve()`` calls, and the
-        facade is bound to the first builder it solves.  Without one, every
-        call starts from an empty session, so nothing survives between calls.
-    solver_backend:
-        Solve core (python | native | auto | None) of those per-call
-        sessions; a given session brings its own.
+        The :class:`~repro.sat.session.SatSession` to solve on (a fresh
+        ``SatSession()`` when omitted).  The underlying SAT solver, the
+        streamed hard clauses and the learnt-clause database survive between
+        ``solve()`` calls, and the facade is bound to the first builder it
+        solves.
     """
 
-    def __init__(self, *, session: SatSession | None = None,
-                 solver_backend: str | None = None) -> None:
-        self.session = session
-        self.solver_backend = solver_backend
+    def __init__(self, *, session: SatSession | None = None) -> None:
+        self.session = session if session is not None else SatSession()
         #: The search state (selectors + bound structure) bound to the
         #: session.  Streamed clauses are permanent, so one session can only
         #: ever answer for one formula.
@@ -101,10 +96,7 @@ class MaxSatSolver:
                             outcome.sat_calls, outcome.elapsed)
 
     def _linear_solver(self, builder: WcnfBuilder) -> LinearSearchSolver:
-        """The search for ``builder``: bound to the session, or fresh."""
-        if self.session is None:
-            return LinearSearchSolver(
-                builder, session=SatSession(backend=self.solver_backend))
+        """The search for ``builder``, bound to the session."""
         if self._linear is None:
             self._linear = LinearSearchSolver(builder, session=self.session)
         elif self._linear.builder is not builder:

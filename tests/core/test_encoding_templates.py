@@ -187,7 +187,7 @@ class TestByteBackedModels:
         architecture = reduced_tokyo_architecture(8)
         encoding = QmrEncoder(architecture, EncodingOptions(**options)) \
             .encode_interactions([(0, 1), (2, 3), (0, 3), (1, 4), (2, 4)], 5)
-        result = MaxSatSolver(solver_backend="native").solve(
+        result = MaxSatSolver(session=SatSession(backend="native")).solve(
             encoding.builder, time_budget=60)
         assert result.has_model
         return encoding, result.model

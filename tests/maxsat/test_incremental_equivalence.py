@@ -60,12 +60,15 @@ class TestSessionMatchesFromScratch:
                 assert scratch.optimal == incremental.optimal, f"seed {seed}"
 
     def test_facade_statuses_match(self):
+        """A solve under assumptions leaves no trace on the next plain solve."""
         for seed in range(8):
             rng = random.Random(900 + seed)
             reference = random_wcnf(rng, weighted=False)
             scratch = MaxSatSolver().solve(clone(reference))
-            incremental = MaxSatSolver(session=SatSession()).solve(
-                clone(reference))
+            solver = MaxSatSolver(session=SatSession())
+            builder = clone(reference)
+            solver.solve(builder, assumptions=[1, -2])
+            incremental = solver.solve(builder)
             assert scratch.status is incremental.status, f"seed {seed}"
             if scratch.has_model:
                 assert scratch.cost == incremental.cost, f"seed {seed}"

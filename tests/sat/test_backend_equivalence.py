@@ -150,19 +150,6 @@ class TestOptimaEquivalence:
                 outcomes[backend] = (result.status, result.cost)
             assert outcomes["python"] == outcomes["native"], (hard, soft)
 
-    @pytest.mark.parametrize("max_weight", [1, 4])
-    def test_same_optima_without_session(self, max_weight):
-        """A facade given no session solves on a fresh one of its backend."""
-        rng = random.Random(2205)
-        for _ in range(8):
-            num_vars, hard, soft = self._random_wcnf(rng, max_weight)
-            outcomes = {}
-            for backend in ("python", "native"):
-                solver = MaxSatSolver(solver_backend=backend)
-                result = solver.solve(self._build(num_vars, hard, soft))
-                outcomes[backend] = (result.status, result.cost)
-            assert outcomes["python"] == outcomes["native"], (hard, soft)
-
 
 @needs_native
 class TestRoutingEquivalence:
