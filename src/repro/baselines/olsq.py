@@ -25,7 +25,6 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.core.encoder import EncodingOptions, QmrEncoder
 from repro.core.extraction import build_routed_circuit, extract_solution
 from repro.core.result import RoutingResult, RoutingStatus
-from repro.core.variables import NOOP
 from repro.hardware.architecture import Architecture
 from repro.maxsat.cardinality import Totalizer
 from repro.sat.backends import create_solver
@@ -52,7 +51,7 @@ class OlsqStyleRouter(BaseRouter):
         encoding = encoder.encode(circuit)
 
         # "Performing a SWAP" literals: the negation of each slot's no-op.
-        swap_indicator = [-encoding.registry.swap_var(NOOP, step, slot)
+        swap_indicator = [-encoding.layout.slot_base(step, slot)
                           for step, slot in encoding.swap_slots]
 
         sat = create_solver()

@@ -60,7 +60,6 @@ from repro.circuits.named_circuits import ghz_circuit, qft_circuit
 from repro.circuits.qaoa import maxcut_qaoa_circuit
 from repro.circuits.qasm import load_qasm, save_qasm
 from repro.circuits.random_circuits import random_circuit
-from repro.core import verify_routing
 from repro.hardware.architecture import Architecture
 from repro.hardware.devices import (
     architecture_record,
@@ -393,8 +392,6 @@ def command_route(args: argparse.Namespace) -> int:
     result = router.route(circuit, architecture)
     output = None
     if result.solved:
-        verify_routing(circuit, result.routed_circuit, result.initial_mapping,
-                       architecture)
         output = args.output or args.qasm.with_suffix(".routed.qasm")
         save_qasm(result.routed_circuit, output)
     if args.json:

@@ -56,7 +56,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.variables import NOOP, VariableLayout, VariableRegistry
+from repro.core.variables import VariableLayout
 from repro.hardware.architecture import Architecture
 from repro.hardware.noise import NoiseModel
 from repro.maxsat.cardinality import commander_amo_clauses, pairwise_amo_clauses
@@ -65,6 +65,10 @@ from repro.maxsat.wcnf import WcnfBuilder
 #: Memory budget of the process-wide template cache, in bytes (the sum of
 #: :attr:`EncodingTemplate.nbytes` over the cached shapes).
 TEMPLATE_CACHE_BYTES = 16 * 1024 * 1024
+
+#: At-most-one constraints over this many literals or more use the commander
+#: encoding; smaller ones are pairwise.
+COMMANDER_THRESHOLD = 7
 
 
 @dataclass
@@ -79,14 +83,13 @@ class EncodingOptions:
 
     swaps_per_gate: int = 1
     collapse_repeated_pairs: bool = True
-    commander_threshold: int = 7
-    leading_swap_slot: bool = False
-    #: Number of SWAP slots in the leading transition (before the first gate)
-    #: when ``leading_swap_slot`` is enabled; defaults to ``swaps_per_gate``.
-    #: The local relaxation escalates this when a slice with a pinned initial
-    #: map turns out unsatisfiable.
+    #: Number of SWAP slots in a leading transition before the first gate;
+    #: ``None`` means there is none and step 0 holds the initial map.  The
+    #: local relaxation gives every pinned slice one, and escalates it when
+    #: the pinned slice turns out unsatisfiable.
     leading_slots: int | None = None
-    trailing_swap_slot: bool = False
+    #: Add a trailing SWAP slot after the last gate and force the map it
+    #: produces to equal the initial map (Section VI).
     cyclic: bool = False
     fixed_initial_mapping: dict[int, int] | None = None
     #: When true, ``fixed_initial_mapping`` is *not* baked in as hard unit
@@ -101,8 +104,6 @@ class EncodingOptions:
             raise ValueError("swaps_per_gate must be at least 1")
         if self.leading_slots is not None and self.leading_slots < 1:
             raise ValueError("leading_slots must be at least 1")
-        if self.commander_threshold < 3:
-            raise ValueError("commander_threshold must be at least 3")
 
 
 @dataclass
@@ -111,7 +112,7 @@ class QmrEncoding:
 
     builder: WcnfBuilder
     #: Variable numbering, shared with every encoding of the same shape.
-    registry: VariableLayout
+    layout: VariableLayout
     architecture: Architecture
     num_logical: int
     steps: list[tuple[int, int]]
@@ -138,17 +139,17 @@ class QmrEncoding:
 
     @property
     def root_step(self) -> int:
-        """Step index holding the initial map (-1 with a leading SWAP slot)."""
+        """Step index holding the initial map (-1 with a leading transition)."""
         if not self.steps:
             return 0
-        return -1 if self.options.leading_swap_slot else 0
+        return -1 if self.options.leading_slots is not None else 0
 
     @property
     def final_step(self) -> int:
         """Step index holding the final map."""
         if not self.steps:
             return 0
-        if self.options.trailing_swap_slot or self.options.cyclic:
+        if self.options.cyclic:
             return len(self.steps)
         return len(self.steps) - 1
 
@@ -161,7 +162,7 @@ class QmrEncoding:
         how slicing backtracks without re-encoding.
         """
         root = self.root_step
-        return [self.registry.map_var(logical, physical, root)
+        return [self.layout.map_var(logical, physical, root)
                 for logical, physical in sorted(mapping.items())
                 if logical < self.num_logical]
 
@@ -173,7 +174,7 @@ class QmrEncoding:
         """
         final = self.final_step
         num_physical = self.architecture.num_qubits
-        return [-self.registry.map_var(logical, physical, final)
+        return [-self.layout.map_var(logical, physical, final)
                 for logical, physical in mapping.items()
                 if logical < self.num_logical and 0 <= physical < num_physical]
 
@@ -317,7 +318,7 @@ class QmrEncoder:
             builder.attach_sink(sink)
         encoding = QmrEncoding(
             builder=builder,
-            registry=layout,
+            layout=layout,
             architecture=architecture,
             num_logical=num_logical,
             steps=steps,
@@ -347,9 +348,8 @@ class QmrEncoder:
         options = self.options
         architecture = self.architecture
         key = (architecture.num_qubits, tuple(architecture.edges), num_logical,
-               num_steps, options.swaps_per_gate, options.commander_threshold,
-               options.leading_swap_slot, options.leading_slots,
-               options.trailing_swap_slot, options.cyclic)
+               num_steps, options.swaps_per_gate, options.leading_slots,
+               options.cyclic)
         template = _TEMPLATES.get(key)
         if template is None:
             template = self._build_template(num_logical, num_steps)
@@ -386,35 +386,33 @@ class QmrEncoder:
         """Allocate and write every gate-independent family of one shape."""
         options = self.options
         scratch = WcnfBuilder()
-        registry = VariableRegistry(scratch)
+        layout = VariableLayout(num_logical, self.architecture.num_qubits,
+                                tuple(self.architecture.edges))
         head: list[array] = []
         slots: list[array] = []
         closure: list[array] = []
         swap_slots: list[tuple[int, int]] = []
         if not num_steps:
             # No two-qubit gates: only one injective, total map at step 0.
-            self._encode_injectivity(registry, num_logical, head, 0, total=True)
+            self._encode_injectivity(scratch, layout, head, 0, total=True)
         else:
-            # With a leading SWAP slot the map *before* any gate lives at
-            # virtual step -1, and the slot transforms it into the step-0
+            # With a leading transition the map *before* any gate lives at
+            # virtual step -1, and its slots transform it into the step-0
             # map; otherwise step 0 itself is the initial map.
-            root_step = -1 if options.leading_swap_slot else 0
+            root_step = -1 if options.leading_slots is not None else 0
             if root_step == -1:
-                self._encode_injectivity(registry, num_logical, head, -1)
+                self._encode_injectivity(scratch, layout, head, -1)
             for step in range(num_steps):
-                self._encode_injectivity(registry, num_logical, head, step)
-            self._encode_totality(registry, num_logical, head, root_step)
-            self._encode_swap_slots(registry, num_logical, slots, swap_slots, num_steps)
+                self._encode_injectivity(scratch, layout, head, step)
+            self._encode_totality(scratch, layout, head, root_step)
+            self._encode_swap_slots(scratch, layout, slots, swap_slots, num_steps)
             if options.cyclic:
-                self._encode_cyclic_closure(registry, num_logical, closure, num_steps)
-        edges = tuple(self.architecture.edges)
-        layout = registry.freeze(num_logical, self.architecture.num_qubits,
-                                 edges, swap_slots)
+                self._encode_cyclic_closure(scratch, layout, closure, num_steps)
         return EncodingTemplate(layout, scratch.num_vars, _joined(head),
                                 _joined(slots), _joined(closure),
                                 tuple(swap_slots))
 
-    def _encode_injectivity(self, registry: VariableRegistry, num_logical: int,
+    def _encode_injectivity(self, scratch: WcnfBuilder, layout: VariableLayout,
                             out: list[array], step: int,
                             total: bool = False) -> None:
         """Hard A: at ``step`` the map is an injective partial function.
@@ -423,22 +421,21 @@ class QmrEncoder:
         between chained SWAP slots.  ``total`` puts each logical qubit's
         at-least-one placement clause ahead of its at-most-one.
         """
-        num_physical = self.architecture.num_qubits
-        new_var = registry.builder.new_var
+        new_var = scratch.new_var
         clauses: list[int] = []
         rows = []
-        for logical in range(num_logical):
-            row = registry.map_row(logical, step, num_physical)
+        for logical in range(layout.num_logical):
+            row = layout.row(scratch, logical, step)
             rows.append(row)
             if total:
                 clauses += row
                 clauses.append(0)
-            self._at_most_one(clauses, row, new_var)
-        for physical in range(num_physical):
-            self._at_most_one(clauses, [row[physical] for row in rows], new_var)
+            _at_most_one(clauses, row, new_var)
+        for physical in range(layout.num_physical):
+            _at_most_one(clauses, [row[physical] for row in rows], new_var)
         out.append(array("i", clauses))
 
-    def _encode_totality(self, registry: VariableRegistry, num_logical: int,
+    def _encode_totality(self, scratch: WcnfBuilder, layout: VariableLayout,
                          out: list[array], step: int) -> None:
         """Every logical qubit is placed somewhere at ``step``.
 
@@ -446,38 +443,37 @@ class QmrEncoder:
         sequence total, so extraction never has to invent placements for
         qubits that participate in gates.
         """
-        num_physical = self.architecture.num_qubits
         clauses: list[int] = []
-        for logical in range(num_logical):
-            clauses += registry.map_row(logical, step, num_physical)
+        for logical in range(layout.num_logical):
+            clauses += layout.row(scratch, logical, step)
             clauses.append(0)
         out.append(array("i", clauses))
 
-    def _encode_swap_slots(self, registry: VariableRegistry, num_logical: int,
+    def _encode_swap_slots(self, scratch: WcnfBuilder, layout: VariableLayout,
                            out: list[array],
                            swap_slots: list[tuple[int, int]],
                            num_steps: int) -> None:
         """Hard C and Hard D for every SWAP slot between consecutive steps."""
         options = self.options
         for step in range(num_steps):
-            if step == 0 and not options.leading_swap_slot:
-                continue
-            previous = step - 1  # -1 is the virtual pre-circuit step
             slots = options.swaps_per_gate
-            if step == 0 and options.leading_slots is not None:
+            if step == 0:
+                if options.leading_slots is None:
+                    continue
                 slots = options.leading_slots
-            self._encode_one_transition(registry, num_logical, out, swap_slots,
+            previous = step - 1  # -1 is the virtual pre-circuit step
+            self._encode_one_transition(scratch, layout, out, swap_slots,
                                         previous, step, slots)
-        if options.trailing_swap_slot or options.cyclic:
+        if options.cyclic:
             # A final slot after the last gate, producing the "final map" step
-            # used by the cyclic relaxation (step index == num_steps).
-            self._encode_injectivity(registry, num_logical, out, num_steps)
-            self._encode_one_transition(registry, num_logical, out, swap_slots,
+            # the closure ties to the initial map (step index == num_steps).
+            self._encode_injectivity(scratch, layout, out, num_steps)
+            self._encode_one_transition(scratch, layout, out, swap_slots,
                                         num_steps - 1, num_steps,
                                         options.swaps_per_gate)
 
-    def _encode_one_transition(self, registry: VariableRegistry,
-                               num_logical: int, out: list[array],
+    def _encode_one_transition(self, scratch: WcnfBuilder,
+                               layout: VariableLayout, out: list[array],
                                swap_slots: list[tuple[int, int]],
                                previous_step: int, current_step: int,
                                num_slots: int) -> None:
@@ -490,26 +486,23 @@ class QmrEncoder:
             source = previous_step if slot == 0 else _pseudo_step(current_step, slot - 1)
             target = current_step if is_last_slot else _pseudo_step(current_step, slot)
             if not is_last_slot:
-                self._encode_injectivity(registry, num_logical, out, target)
-            self._encode_slot(registry, num_logical, out, source, target,
+                self._encode_injectivity(scratch, layout, out, target)
+            self._encode_slot(scratch, layout, out, source, target,
                               current_step, slot)
             swap_slots.append((current_step, slot))
 
-    def _encode_slot(self, registry: VariableRegistry, num_logical: int,
+    def _encode_slot(self, scratch: WcnfBuilder, layout: VariableLayout,
                      out: list[array], source_step: int, target_step: int,
                      real_step: int, slot: int) -> None:
         """One SWAP slot: Hard C (exactly one choice) + Hard D (its effect)."""
-        architecture = self.architecture
-        num_physical = architecture.num_qubits
-        edges = architecture.edges
+        num_physical = layout.num_physical
+        edges = layout.edges
 
-        noop_var = registry.swap_var(NOOP, real_step, slot)
-        choice_vars = [noop_var] + [registry.swap_var(edge, real_step, slot)
-                                    for edge in edges]
+        choice_vars = layout.slot(scratch, real_step, slot)
         # Hard C: exactly one of {no-op} ∪ Edges is selected.
         clauses: list[int] = list(choice_vars)
         clauses.append(0)
-        self._at_most_one(clauses, choice_vars, registry.builder.new_var)
+        _at_most_one(clauses, choice_vars, scratch.new_var)
 
         # Hard D: forward propagation of every logical qubit's position.  A
         # qubit on ``physical`` stays unless an incident edge swaps, and
@@ -521,9 +514,9 @@ class QmrEncoder:
             stays[second].append(swap)
             moves[first].append((-swap, second))
             moves[second].append((-swap, first))
-        for logical in range(num_logical):
-            source = registry.map_row(logical, source_step, num_physical)
-            target = registry.map_row(logical, target_step, num_physical)
+        for logical in range(layout.num_logical):
+            source = layout.row(scratch, logical, source_step)
+            target = layout.row(scratch, logical, target_step)
             for physical in range(num_physical):
                 negated = -source[physical]
                 clauses.append(negated)
@@ -533,26 +526,17 @@ class QmrEncoder:
                     clauses += (negated, not_swapped, target[other], 0)
         out.append(array("i", clauses))
 
-    def _encode_cyclic_closure(self, registry: VariableRegistry,
-                               num_logical: int, out: list[array],
+    def _encode_cyclic_closure(self, scratch: WcnfBuilder,
+                               layout: VariableLayout, out: list[array],
                                final_step: int) -> None:
         """Section VI: the final map equals the initial map, qubit by qubit."""
-        num_physical = self.architecture.num_qubits
         clauses: list[int] = []
-        for logical in range(num_logical):
-            initial_row = registry.map_row(logical, 0, num_physical)
-            final_row = registry.map_row(logical, final_step, num_physical)
+        for logical in range(layout.num_logical):
+            initial_row = layout.row(scratch, logical, 0)
+            final_row = layout.row(scratch, logical, final_step)
             for initial, final in zip(initial_row, final_row):
                 clauses += (-initial, final, 0, initial, -final, 0)
         out.append(array("i", clauses))
-
-    def _at_most_one(self, out: list[int], literals: list[int], new_var) -> None:
-        if len(literals) <= 1:
-            return
-        if len(literals) < self.options.commander_threshold:
-            pairwise_amo_clauses(out, literals)
-        else:
-            commander_amo_clauses(out, literals, new_var)
 
     # ------------------------------------------------------- per-call parts
 
@@ -578,8 +562,8 @@ class QmrEncoder:
     def _encode_initial_mapping(self, encoding: QmrEncoding) -> array:
         """Pin the initial map to a given mapping (used by the local relaxation).
 
-        The pin applies at the root step: -1 when a leading SWAP slot exists
-        (the inherited map applies *before* that slot), 0 otherwise.
+        The pin applies at the root step: -1 when a leading transition exists
+        (the inherited map applies *before* its slots), 0 otherwise.
 
         When ``pin_initial_via_assumptions`` is set the mapping is *not*
         encoded as hard clauses; the caller assumes the corresponding map
@@ -593,7 +577,7 @@ class QmrEncoder:
         root_step = encoding.root_step
         for logical, physical in fixed.items():
             if logical < encoding.num_logical:
-                out.append(encoding.registry.map_var(logical, physical, root_step))
+                out.append(encoding.layout.map_var(logical, physical, root_step))
                 out.append(0)
         return out
 
@@ -606,7 +590,7 @@ class QmrEncoder:
         weighted by the edge's CNOT log-infidelity.
         """
         builder = encoding.builder
-        layout = encoding.registry
+        layout = encoding.layout
         noise = encoding.options.noise_model
         edges = encoding.architecture.edges
         for step, slot in encoding.swap_slots:
@@ -628,6 +612,15 @@ class QmrEncoder:
                                       _log_one_minus(error)))
                 builder.add_soft([-executed], weight=weight)
         builder.add_flat(array("i", out))
+
+
+def _at_most_one(out: list[int], literals, new_var) -> None:
+    if len(literals) <= 1:
+        return
+    if len(literals) < COMMANDER_THRESHOLD:
+        pairwise_amo_clauses(out, literals)
+    else:
+        commander_amo_clauses(out, literals, new_var)
 
 
 def _pseudo_step(step: int, slot: int) -> int:

@@ -44,7 +44,7 @@ def extract_solution(encoding: QmrEncoding, model: Mapping[int, bool]) -> Extrac
     too, the model has a hole that the verifier catches through the
     resulting invalid gate.
     """
-    layout = encoding.registry
+    layout = encoding.layout
     get = model.get
     slot_swaps: list[tuple[int, int, tuple[int, int] | None]] = []
     edges = encoding.architecture.edges

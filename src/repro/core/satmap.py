@@ -291,11 +291,11 @@ class SatMapRouter(BaseRouter):
     ) -> SliceContext:
         """Fresh session + streamed encoding."""
         pinned = fixed_initial_mapping is not None
+        swaps = swaps_per_gate or self.swaps_per_gate
         options = EncodingOptions(
-            swaps_per_gate=swaps_per_gate or self.swaps_per_gate,
+            swaps_per_gate=swaps,
             collapse_repeated_pairs=self.collapse_repeated_pairs,
-            leading_swap_slot=pinned,
-            leading_slots=leading_slots,
+            leading_slots=(leading_slots or swaps) if pinned else None,
             cyclic=cyclic,
             fixed_initial_mapping=fixed_initial_mapping,
             pin_initial_via_assumptions=pinned,

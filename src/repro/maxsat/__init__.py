@@ -4,13 +4,11 @@ The paper's tool calls Open-WBO-Inc-MCS, an *anytime* MaxSAT solver: it keeps
 improving a model of the hard constraints and can be interrupted at any point,
 returning the best solution found so far.  This package reproduces that
 behaviour with one search built on our CDCL solver:
-:class:`repro.maxsat.linear_search.LinearSearchSolver`, a model-improving
-linear SAT->UNSAT search with a (generalised) totalizer bound, run on a live
-:class:`~repro.sat.session.SatSession`.
-
-:class:`repro.maxsat.solver.MaxSatSolver` is the facade the rest of the
-library uses; it accepts a :class:`repro.maxsat.wcnf.WcnfBuilder`, an
-optional session, and a time budget.
+:class:`repro.maxsat.solver.MaxSatSolver`, a model-improving linear
+SAT->UNSAT search with a (generalised) totalizer bound, run on a live
+:class:`~repro.sat.session.SatSession`.  It accepts a
+:class:`repro.maxsat.wcnf.WcnfBuilder`, an optional session, and a time
+budget.
 """
 
 from repro.maxsat.wcnf import WcnfBuilder

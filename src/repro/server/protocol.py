@@ -60,6 +60,11 @@ from repro.service.jobs import RoutingJob
 #: Bump on any incompatible change to the request/response schemas.
 WIRE_VERSION = 1
 
+#: Largest ``num_qubits`` a wire architecture object may declare (the
+#: largest catalogue device has 27).  Parsing costs memory and time per
+#: declared qubit, so a few-byte request must not be able to ask for more.
+MAX_WIRE_QUBITS = 1024
+
 
 class ProtocolError(ValueError):
     """A malformed or unsupported request; maps to an HTTP 4xx response."""
@@ -143,12 +148,15 @@ def architecture_from_wire(field: Any,
     if isinstance(field, Mapping):
         try:
             num_qubits = int(field["num_qubits"])
+            if num_qubits > MAX_WIRE_QUBITS:
+                raise ValueError(f"num_qubits {num_qubits} exceeds the limit "
+                                 f"of {MAX_WIRE_QUBITS}")
             edges = [(int(a), int(b)) for a, b in field["edges"]]
+            return Architecture(num_qubits, edges,
+                                name=str(field.get("name", "wire-architecture")))
         except (KeyError, TypeError, ValueError) as error:
             raise ProtocolError(
                 f"malformed architecture object: {error}") from None
-        return Architecture(num_qubits, edges,
-                            name=str(field.get("name", "wire-architecture")))
     raise ProtocolError("architecture must be a catalogue name or an object "
                         "with num_qubits and edges")
 

@@ -42,6 +42,13 @@ def valid_submit_body(seed: int) -> bytes:
         circuit, architecture=ARCH, router=ROUTER)).encode()
 
 
+def wire_architecture_submit(num_qubits: int, edges: list) -> bytes:
+    """A submit whose circuit is fine but whose architecture object is not."""
+    payload = json.loads(valid_submit_body(seed=4))
+    payload["architecture"] = {"num_qubits": num_qubits, "edges": edges}
+    return request_bytes("POST", "/v1/jobs", json.dumps(payload).encode())
+
+
 #: ``(case, raw request, expected status)``; ``{job}`` is a finished job.
 CASES = [
     ("unknown path", request_bytes("GET", "/v1/nope"), 404),
@@ -56,6 +63,12 @@ CASES = [
      b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
     ("oversized body",
      b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n", 413),
+    ("architecture without qubits", wire_architecture_submit(0, []), 400),
+    ("architecture self-loop", wire_architecture_submit(4, [[1, 1]]), 400),
+    ("architecture edge out of range", wire_architecture_submit(4, [[0, 9]]),
+     400),
+    ("architecture over the qubit limit", wire_architecture_submit(
+        protocol.MAX_WIRE_QUBITS + 1, [[0, 1], [1, 2], [2, 3]]), 400),
     ("wait=-inf", request_bytes("GET", "/v1/jobs/{job}?wait=-inf"), 200),
     ("wait=nan", request_bytes("GET", "/v1/jobs/{job}?wait=nan"), 200),
 ]

@@ -31,10 +31,6 @@ class TestOptions:
         with pytest.raises(ValueError):
             EncodingOptions(leading_slots=0)
 
-    def test_rejects_small_commander_threshold(self):
-        with pytest.raises(ValueError):
-            EncodingOptions(commander_threshold=2)
-
 
 class TestStepConstruction:
     def test_one_step_per_two_qubit_gate(self):
@@ -78,7 +74,7 @@ class TestEncodingSize:
 
     def test_leading_slot_adds_one(self):
         encoding = encode(two_cx_circuit(), line_architecture(3),
-                          leading_swap_slot=True)
+                          leading_slots=1)
         assert len(encoding.swap_slots) == 2
 
     def test_cyclic_adds_trailing_slot(self):
@@ -103,7 +99,7 @@ class TestEncodingSize:
 
     def test_map_variables_exist_for_all_steps(self):
         encoding = encode(two_cx_circuit(), line_architecture(3))
-        variables = {encoding.registry.map_var(logical, physical, step)
+        variables = {encoding.layout.map_var(logical, physical, step)
                      for step in range(encoding.num_steps)
                      for logical in range(3) for physical in range(3)}
         assert len(variables) == 3 * 3 * encoding.num_steps
@@ -145,7 +141,7 @@ class TestEncodingSemantics:
         circuit = QuantumCircuit(3, [cx(0, 2)])
         encoding = encode(circuit, line_architecture(3),
                           fixed_initial_mapping={0: 0, 1: 1, 2: 2},
-                          leading_swap_slot=True)
+                          leading_slots=1)
         result = self.solve(encoding)
         assert result.is_optimal and result.cost == 1
 
@@ -154,11 +150,11 @@ class TestEncodingSemantics:
         # Pin the qubits three hops apart; one leading swap is not enough.
         encoding = encode(circuit, line_architecture(4),
                           fixed_initial_mapping={0: 0, 1: 1, 2: 2, 3: 3},
-                          leading_swap_slot=True, leading_slots=1)
+                          leading_slots=1)
         assert self.solve(encoding).status is MaxSatStatus.UNSATISFIABLE
         encoding = encode(circuit, line_architecture(4),
                           fixed_initial_mapping={0: 0, 1: 1, 2: 2, 3: 3},
-                          leading_swap_slot=True, leading_slots=2)
+                          leading_slots=2)
         result = self.solve(encoding)
         assert result.is_optimal and result.cost == 2
 
@@ -172,7 +168,7 @@ class TestEncodingSemantics:
 
     def test_noop_variable_exists_per_slot(self):
         encoding = encode(two_cx_circuit(), line_architecture(3))
-        noops = {encoding.registry.swap_var(NOOP, step, slot)
+        noops = {encoding.layout.swap_var(NOOP, step, slot)
                  for step, slot in encoding.swap_slots}
         assert len(noops) == len(encoding.swap_slots)
         assert all(1 <= variable <= encoding.num_variables for variable in noops)

@@ -47,18 +47,16 @@ CASES = {
                                                  interaction_bias=0.9),
                          collapse_repeated_pairs=False),
     "leading-slots-2": _case(TOKYO8, random_circuit(5, 8, seed=5),
-                             leading_swap_slot=True, leading_slots=2),
+                             leading_slots=2),
     "swaps-per-gate-2": _case(line_architecture(5), random_circuit(4, 6, seed=6),
                               swaps_per_gate=2),
-    "trailing-slot": _case(TOKYO8, random_circuit(5, 6, seed=7),
-                           trailing_swap_slot=True),
     "cyclic": _case(TOKYO8, random_circuit(5, 8, seed=8), cyclic=True),
     "noise": _case(TOKYO8, random_circuit(5, 8, seed=9),
                    noise_model=NoiseModel.synthetic(TOKYO8, seed=9)),
     "fixed-baked": _case(TOKYO8, random_circuit(5, 8, seed=10),
-                         leading_swap_slot=True, fixed_initial_mapping=PIN),
+                         leading_slots=1, fixed_initial_mapping=PIN),
     "fixed-assumed": _case(TOKYO8, random_circuit(5, 8, seed=10),
-                           leading_swap_slot=True, fixed_initial_mapping=PIN,
+                           leading_slots=1, fixed_initial_mapping=PIN,
                            pin_initial_via_assumptions=True),
     "no-two-qubit-gates": _case(line_architecture(4),
                                 QuantumCircuit(3, [h(0), rz(1, 0.5), h(2)])),
@@ -68,15 +66,9 @@ CASES = {
     # Rows of 7 placements reach the default threshold (commander) while
     # columns of 6 occupants stay just below it (pairwise).
     "amo-threshold-edge": _case(line_architecture(7), random_circuit(6, 8, seed=11)),
-    "amo-all-pairwise": _case(TOKYO8, random_circuit(5, 8, seed=12),
-                              commander_threshold=64),
-    "amo-all-commander": _case(TOKYO8, random_circuit(5, 8, seed=12),
-                               commander_threshold=3),
 }
 
 GOLDEN = {
-    "amo-all-commander": "f7e5dc9da78f4148598e1ed5b46142140a443662ef06bf20db72f3386a7a7dff",
-    "amo-all-pairwise": "dfe7b372cb079d215a36d048c63b99c92b47b96a9f298d49754a423dcd63a7d5",
     "amo-threshold-edge": "c9dcd2ae6d3f41c0c792b00e352dc9ba037c71207e4c251deee29f676fb2f78e",
     "cyclic": "f0809a56c353c27afdbdecf55a7b0835ce7d26bb60adced79638f1f690ff7336",
     "fixed-assumed": "786356a484aa197c512c409264732c372f842f9d7009afb2df0b4af5bab789f8",
@@ -90,7 +82,6 @@ GOLDEN = {
     "plain-tokyo": "180c0c4a0ec3fb1bfd2df53f0f68c15cb9e53c1896c27fb19ed675d312202d54",
     "plain-tokyo8": "1e4b421332df005efea3e668968df42471b440e133e1c10b31912cf7bde7acda",
     "swaps-per-gate-2": "d9e9652159f39724b76d080654e431cff481459f21f9b63ce19fd701e0bffed5",
-    "trailing-slot": "1187dc78204e5640b97141f3375b88ed7c7b7dfe77640166ae7a7d362bbf65ab",
 }
 
 

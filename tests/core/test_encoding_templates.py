@@ -83,13 +83,11 @@ class TestColdAndWarm:
                        rng.sample(range(architecture.num_qubits), num_logical)))
         options = dict(
             swaps_per_gate=rng.choice([1, 1, 2]),
-            leading_swap_slot=pinned or rng.random() < 0.3,
-            leading_slots=rng.choice([None, 1, 2, 3]),
-            trailing_swap_slot=rng.random() < 0.3,
+            leading_slots=(rng.choice([1, 2, 3])
+                           if pinned or rng.random() < 0.3 else None),
             cyclic=rng.random() < 0.3,
             fixed_initial_mapping=pin if pinned else None,
             pin_initial_via_assumptions=pinned and rng.random() < 0.5,
-            commander_threshold=rng.choice([3, 7]),
         )
         encoder = QmrEncoder(architecture, EncodingOptions(**options))
 
@@ -130,7 +128,7 @@ class TestColdAndWarm:
 class TestTemplateCache:
     def _templates(self):
         architecture = reduced_tokyo_architecture(8)
-        encoder = QmrEncoder(architecture, EncodingOptions(leading_swap_slot=True))
+        encoder = QmrEncoder(architecture, EncodingOptions(leading_slots=1))
         return [encoder.template(num_logical, num_steps)
                 for num_logical in (3, 5) for num_steps in (1, 4, 9)]
 
@@ -193,8 +191,8 @@ class TestByteBackedModels:
         return encoding, result.model
 
     @pytest.mark.parametrize("options", [
-        {}, {"leading_swap_slot": True}, {"cyclic": True},
-        {"swaps_per_gate": 2, "trailing_swap_slot": True}])
+        {}, {"leading_slots": 1}, {"cyclic": True},
+        {"swaps_per_gate": 2, "leading_slots": 2}])
     def test_cost_and_extraction_match_a_dict_model(self, options):
         from repro.sat.native import NativeModel
 

@@ -10,86 +10,111 @@ from repro.core.extraction import (
     complete_mapping,
     extract_solution,
 )
-from repro.core.variables import NOOP, VariableRegistry
+from repro.core.variables import NOOP, VariableLayout
 from repro.hardware.topologies import line_architecture
 from repro.maxsat import MaxSatSolver
 from repro.maxsat.wcnf import WcnfBuilder
 
-
-class TestVariableRegistry:
-    def setup_method(self):
-        self.registry = VariableRegistry(WcnfBuilder())
-
-    def test_map_var_is_stable(self):
-        first = self.registry.map_var(0, 1, 2)
-        second = self.registry.map_var(0, 1, 2)
-        assert first == second
-
-    def test_distinct_keys_get_distinct_vars(self):
-        assert self.registry.map_var(0, 1, 0) != self.registry.map_var(1, 0, 0)
-
-    def test_swap_var_normalises_edge_order(self):
-        assert (self.registry.swap_var((2, 1), 0)
-                == self.registry.swap_var((1, 2), 0))
-
-    def test_noop_edge_is_allowed(self):
-        variable = self.registry.swap_var(NOOP, 3)
-        assert self.registry.lookup_swap(variable) == (NOOP, 3, 0)
-
-    def test_reverse_lookup_map(self):
-        variable = self.registry.map_var(2, 3, 1)
-        assert self.registry.lookup_map(variable) == (2, 3, 1)
-
-    def test_reverse_lookup_unknown_returns_none(self):
-        assert self.registry.lookup_map(999) is None
-
-    def test_counters(self):
-        self.registry.map_var(0, 0, 0)
-        self.registry.swap_var((0, 1), 0)
-        assert self.registry.num_map_vars == 1
-        assert self.registry.num_swap_vars == 1
+from test_encoding_golden import CASES
 
 
-class TestFreeze:
+class TestVariableLayout:
     EDGES = ((0, 1), (1, 2))
 
     def setup_method(self):
-        self.registry = VariableRegistry(WcnfBuilder())
+        self.builder = WcnfBuilder()
+        self.layout = VariableLayout(3, 4, self.EDGES)
 
-    def test_layout_matches_the_registry(self):
-        for step in (0, 1):
-            for logical in range(2):
-                self.registry.map_row(logical, step, 3)
-        self.registry.swap_var(NOOP, 1)
-        for edge in self.EDGES:
-            self.registry.swap_var(edge, 1)
-        layout = self.registry.freeze(2, 3, self.EDGES, [(1, 0)])
-        for (logical, physical, step), variable in self.registry.map_vars.items():
-            assert layout.map_var(logical, physical, step) == variable
-        for (edge, step, slot), variable in self.registry.swap_vars.items():
-            assert layout.swap_var(edge, step, slot) == variable
+    def test_map_var_is_stable(self):
+        first = self.layout.row(self.builder, 0, 2)
+        second = self.layout.row(self.builder, 0, 2)
+        assert first == second
+        assert self.layout.map_var(0, 1, 2) == self.layout.map_var(0, 1, 2) == first[1]
 
-    def test_a_step_missing_a_row_is_rejected(self):
-        self.registry.map_row(0, 0, 3)
-        self.registry.map_row(0, 1, 3)
-        self.registry.map_row(1, 1, 3)
-        with pytest.raises(ValueError, match="step 0 lacks .* qubit 1"):
-            self.registry.freeze(2, 3, self.EDGES, [])
+    def test_distinct_keys_get_distinct_vars(self):
+        for logical in (0, 1):
+            self.layout.row(self.builder, logical, 0)
+        assert self.layout.map_var(0, 1, 0) != self.layout.map_var(1, 0, 0)
 
-    def test_a_non_contiguous_slot_is_rejected(self):
-        self.registry.swap_var(NOOP, 1)
-        self.registry.swap_var((1, 2), 1)
-        self.registry.swap_var((0, 1), 1)
-        with pytest.raises(ValueError, match="not contiguous"):
-            self.registry.freeze(0, 3, self.EDGES, [(1, 0)])
+    def test_swap_var_normalises_edge_order(self):
+        self.layout.slot(self.builder, 0, 0)
+        assert (self.layout.swap_var((2, 1), 0)
+                == self.layout.swap_var((1, 2), 0))
+
+    def test_noop_edge_is_allowed(self):
+        choices = self.layout.slot(self.builder, 3, 0)
+        variable = self.layout.swap_var(NOOP, 3)
+        assert variable == choices[0]
+        assert self.layout.lookup_swap(variable) == (NOOP, 3, 0)
+
+    def test_reverse_lookup_map(self):
+        self.layout.row(self.builder, 2, 1)
+        variable = self.layout.map_var(2, 3, 1)
+        assert self.layout.lookup_map(variable) == (2, 3, 1)
+
+    def test_reverse_lookup_unknown_returns_none(self):
+        self.layout.row(self.builder, 0, 0)
+        assert self.layout.lookup_map(999) is None
+        assert self.layout.lookup_swap(999) is None
+
+    def test_rows_and_slots_are_consecutive_in_allocation_order(self):
+        assert self.layout.row(self.builder, 1, 0) == range(1, 5)
+        self.builder.new_var()  # an auxiliary variable in between
+        assert self.layout.slot(self.builder, 1, 0) == range(6, 9)
+        assert self.layout.row(self.builder, 0, 0) == range(9, 13)
+        assert self.builder.num_vars == 12
+        assert list(self.layout.row_starts(0)) == [9, 1, 0]
+        assert [self.layout.swap_var(edge, 1) for edge in (NOOP, *self.EDGES)] \
+            == [6, 7, 8]
+        assert self.layout.slot_base(1) == 6
 
     def test_unallocated_steps_and_qubits_raise(self):
         for logical in range(2):
-            self.registry.map_row(logical, 0, 3)
-        layout = self.registry.freeze(2, 3, self.EDGES, [])
-        for key in ((0, 0, 1), (2, 0, 0), (0, 3, 0)):
+            self.layout.row(self.builder, logical, 0)
+        for key in ((0, 0, 1), (2, 0, 0), (3, 0, 0), (0, 4, 0)):
             with pytest.raises(KeyError):
-                layout.map_var(*key)
+                self.layout.map_var(*key)
+        with pytest.raises(KeyError):
+            self.layout.swap_var(NOOP, 0)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_golden_case_round_trips_through_the_lookups(name):
+    """Map and swap variables invert exactly; auxiliaries look up to nothing."""
+    architecture, circuit, options = CASES[name]
+    encoding = QmrEncoder(architecture, EncodingOptions(**options)).encode(circuit)
+    layout = encoding.layout
+    num_physical = architecture.num_qubits
+    maps = {layout.map_var(logical, physical, step): (logical, physical, step)
+            for step in range(encoding.root_step, encoding.final_step + 1)
+            for logical in range(encoding.num_logical)
+            for physical in range(num_physical)}
+    swaps = {layout.swap_var(edge, step, slot): (edge, step, slot)
+             for step, slot in encoding.swap_slots
+             for edge in (NOOP, *architecture.edges)}
+    assert len(maps) == (encoding.num_logical * num_physical
+                         * (encoding.final_step - encoding.root_step + 1))
+    assert len(swaps) == len(encoding.swap_slots) * (1 + len(architecture.edges))
+    for variable in range(1, encoding.num_variables + 1):
+        found_map = layout.lookup_map(variable)
+        found_swap = layout.lookup_swap(variable)
+        if variable in maps:
+            assert (found_map, found_swap) == (maps[variable], None)
+        elif variable in swaps:
+            assert (found_map, found_swap) == (None, swaps[variable])
+        elif found_map is not None:
+            # The intermediate map between two chained slots of one step.
+            assert found_swap is None and found_map[2] >= 10_000
+            assert layout.map_var(*found_map) == variable
+        else:
+            assert found_swap is None  # an auxiliary variable
+    root = encoding.root_step
+    for key in ((encoding.num_logical, 0, root), (0, num_physical, root),
+                (0, 0, encoding.final_step + 1)):
+        with pytest.raises(KeyError):
+            layout.map_var(*key)
+    with pytest.raises(KeyError):
+        layout.swap_var(NOOP, root - 1)
 
 
 class TestCompleteMapping:
@@ -127,7 +152,7 @@ class TestExtraction:
             assert len(set(mapping.values())) == len(mapping)
         # Extraction reads only the root and final rows; read every step's
         # map through the layout too.
-        layout = encoding.registry
+        layout = encoding.layout
         for step in range(encoding.root_step, encoding.final_step + 1):
             placed = [physical for logical in range(encoding.num_logical)
                       for physical in range(4)

@@ -1,11 +1,15 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import available_architectures, build_parser, main
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import cx, h
 from repro.circuits.qasm import load_qasm, save_qasm
+from repro.circuits.random_circuits import random_circuit
+from repro.core import verify_routing
 
 QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -114,3 +118,22 @@ class TestRoundTripThroughCli:
         non_swap_two_qubit = sum(1 for gate in routed
                                  if gate.is_two_qubit and gate.name != "swap")
         assert non_swap_two_qubit == circuit.num_two_qubit_gates
+
+    def test_cyclic_route_writes_the_repeated_circuit(self, tmp_path, capsys):
+        # The router verifies the N-fold circuit itself; the command must not
+        # re-verify the written output against the one-cycle input.
+        circuit = random_circuit(5, 20, seed=3)
+        source = tmp_path / "block.qasm"
+        save_qasm(circuit, source)
+        assert main(["route", str(source), "--arch", "tokyo8", "--json",
+                     "--router", "cyclic:cycles=3,time_budget=10"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        initial = {int(logical): physical
+                   for logical, physical in report["initial_mapping"].items()}
+        repeated = QuantumCircuit(circuit.num_qubits)
+        for _ in range(3):
+            repeated.extend(load_qasm(source))
+        routed = load_qasm(source.with_suffix(".routed.qasm"))
+        assert verify_routing(repeated, routed, initial,
+                              available_architectures()["tokyo8"]) \
+            == report["swap_count"]

@@ -9,7 +9,6 @@ does on a backtrack.
 
 import random
 
-from repro.maxsat.linear_search import LinearSearchSolver
 from repro.maxsat.solver import MaxSatSolver, MaxSatStatus
 from repro.maxsat.wcnf import WcnfBuilder
 from repro.sat import SatSession
@@ -48,16 +47,17 @@ class TestSessionMatchesFromScratch:
             rng = random.Random(300 + seed)
             weighted = seed % 2 == 0
             reference = random_wcnf(rng, weighted)
-            scratch = LinearSearchSolver(clone(reference)).solve()
+            scratch = MaxSatSolver().solve(clone(reference))
             # A second run on the warm session reuses the selectors, the
             # bound structure and everything the first run learnt.
-            warm = LinearSearchSolver(clone(reference), session=SatSession())
-            warm.solve()
-            incremental = warm.solve()
-            assert scratch.found_model == incremental.found_model, f"seed {seed}"
-            if scratch.found_model:
+            warm = MaxSatSolver(session=SatSession())
+            builder = clone(reference)
+            warm.solve(builder)
+            incremental = warm.solve(builder)
+            assert scratch.has_model == incremental.has_model, f"seed {seed}"
+            if scratch.has_model:
                 assert scratch.cost == incremental.cost, f"seed {seed}"
-                assert scratch.optimal == incremental.optimal, f"seed {seed}"
+                assert scratch.status == incremental.status, f"seed {seed}"
 
     def test_facade_statuses_match(self):
         """A solve under assumptions leaves no trace on the next plain solve."""
@@ -157,13 +157,12 @@ class TestBudgetInsideSelectorConstruction:
         builder.add_hard([variables[0], variables[1]])
         for v in variables:
             builder.add_soft([v, -variables[0]])
-        outcome = LinearSearchSolver(builder).solve(time_budget=0.0)
+        result = MaxSatSolver().solve(builder, time_budget=0.0)
         # The selector loop must notice the dead budget and give up cleanly
         # instead of relaxing every soft clause first.
-        assert not outcome.found_model
-        assert not outcome.optimal
-        assert outcome.sat_calls == 0
-        assert outcome.cost == -1
+        assert result.status is MaxSatStatus.UNKNOWN
+        assert result.sat_calls == 0
+        assert result.cost == -1
 
     def test_selector_loop_leaves_solver_reusable(self):
         builder = WcnfBuilder()
@@ -172,10 +171,10 @@ class TestBudgetInsideSelectorConstruction:
         for v in variables[1:]:
             builder.add_soft([v], weight=1)
         session = SatSession()
-        solver = LinearSearchSolver(builder, session=session)
-        dead = solver.solve(time_budget=0.0)
-        assert not dead.found_model
+        solver = MaxSatSolver(session=session)
+        dead = solver.solve(builder, time_budget=0.0)
+        assert not dead.has_model
         # A later call with a real budget still works on the same session.
-        alive = solver.solve()
-        assert alive.found_model and alive.optimal
+        alive = solver.solve(builder)
+        assert alive.is_optimal
         assert alive.cost == 0

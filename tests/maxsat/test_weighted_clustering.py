@@ -9,10 +9,7 @@ breaks correctness, only proof-of-optimality.
 
 import itertools
 
-import pytest
-
-from repro.maxsat.linear_search import LinearSearchSolver
-from repro.maxsat.solver import MaxSatSolver, MaxSatStatus
+from repro.maxsat.solver import MAX_BOUND_WEIGHT, MaxSatSolver, MaxSatStatus
 from repro.maxsat.wcnf import WcnfBuilder, clause_satisfied
 
 
@@ -27,26 +24,19 @@ def _conflicting_pair(weight_a, weight_b):
 
 class TestClusterWeights:
     def test_small_weights_are_not_clustered(self):
-        builder = WcnfBuilder()
-        solver = LinearSearchSolver(builder, max_bound_weight=32)
-        assert solver._cluster_weights([1, 5, 32]) is None
+        assert MAX_BOUND_WEIGHT == 32
+        assert MaxSatSolver._cluster_weights([1, 5, 32]) is None
 
     def test_large_weights_are_clustered_into_range(self):
-        builder = WcnfBuilder()
-        solver = LinearSearchSolver(builder, max_bound_weight=16)
-        clustered = solver._cluster_weights([40, 400, 4000])
+        clustered = MaxSatSolver._cluster_weights([40, 400, 4000])
         assert clustered is not None
-        assert max(clustered) == 16
+        assert max(clustered) == MAX_BOUND_WEIGHT
         assert min(clustered) >= 1
         # Order must be preserved (monotone rescaling).
         assert clustered == sorted(clustered)
 
     def test_empty_weights(self):
-        assert LinearSearchSolver(WcnfBuilder())._cluster_weights([]) is None
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            LinearSearchSolver(WcnfBuilder(), max_bound_weight=0)
+        assert MaxSatSolver._cluster_weights([]) is None
 
 
 class TestSmallWeightsStayExact:

@@ -67,6 +67,18 @@ class TestSubmitRoundTrip:
         assert job.arch_num_qubits == 5
         assert len(job.arch_edges) == 4
 
+    def test_invalid_architecture_objects_are_protocol_errors(self, catalog):
+        for field in ({"num_qubits": 0, "edges": []},
+                      {"num_qubits": 4, "edges": [[1, 1]]},
+                      {"num_qubits": 4, "edges": [[0, 9]]},
+                      {"num_qubits": protocol.MAX_WIRE_QUBITS + 1,
+                       "edges": [[0, 1]]}):
+            with pytest.raises(ProtocolError, match="malformed architecture"):
+                protocol.architecture_from_wire(field, catalog)
+        largest = protocol.architecture_from_wire(
+            {"num_qubits": protocol.MAX_WIRE_QUBITS, "edges": [[0, 1]]}, catalog)
+        assert largest.num_qubits == protocol.MAX_WIRE_QUBITS
+
     def test_time_budget_folds_into_spec(self, circuit, catalog):
         payload = protocol.submit_payload(circuit, "line4", router="sabre",
                                           time_budget=7.0)
