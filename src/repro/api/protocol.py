@@ -21,6 +21,7 @@ The SATMAP family and the baselines share this one scaffolding.
 from __future__ import annotations
 
 import abc
+import math
 import time
 import traceback
 from typing import Protocol, runtime_checkable
@@ -79,8 +80,9 @@ class BaseRouter(abc.ABC):
     name: str = "router"
 
     def __init__(self, time_budget: float = 60.0, verify: bool = True) -> None:
-        if time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+        # Written so that NaN fails too: it compares false with everything.
+        if not 0 < time_budget < math.inf:
+            raise ValueError("time_budget must be positive and finite")
         self.time_budget = time_budget
         self.verify = verify
 

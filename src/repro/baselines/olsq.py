@@ -38,6 +38,8 @@ class OlsqStyleRouter(BaseRouter):
 
     def __init__(self, time_budget: float = 60.0, swaps_per_gate: int = 1,
                  max_bound: int | None = None, verify: bool = True) -> None:
+        if swaps_per_gate < 1:
+            raise ValueError("swaps_per_gate must be at least 1")
         super().__init__(time_budget=time_budget, verify=verify)
         self.swaps_per_gate = swaps_per_gate
         self.max_bound = max_bound

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -82,12 +83,13 @@ def _router_spec(text: str) -> str:
     """argparse type for ``--router``: validate a spec string, keep the text.
 
     Validation against the registry (unknown routers *and* unknown/ill-typed
-    options) happens at parse time, so ``repro route --router no-such`` or
-    ``--router satmap:slize_size=9`` exit with a usage error instead of
+    options) and the router's own constructor checks happen at parse time,
+    so ``repro route --router no-such``, ``--router satmap:slize_size=9`` or
+    ``--router satmap:swaps_per_gate=0`` exit with a usage error instead of
     failing mid-run.
     """
     try:
-        RouterSpec.from_string(text).validated()
+        get_router(RouterSpec.from_string(text))
     except Exception as error:
         raise argparse.ArgumentTypeError(str(error)) from None
     return text
@@ -821,8 +823,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     budget = getattr(args, "time_budget", None)
-    if budget is not None and not budget > 0:
-        print("error: --time-budget must be positive", file=sys.stderr)
+    if budget is not None and not 0 < budget < math.inf:
+        print("error: --time-budget must be positive and finite", file=sys.stderr)
         return 2
     commands = {
         "route": command_route,

@@ -141,6 +141,8 @@ class CyclicRouter(BaseRouter):
                  solver_backend: str | None = None) -> None:
         if cycles <= 0:
             raise ValueError("cycles must be positive")
+        if swaps_per_gate < 1:
+            raise ValueError("swaps_per_gate must be at least 1")
         super().__init__(time_budget=time_budget, verify=verify)
         self.cycles = cycles
         self.slice_size = slice_size

@@ -23,23 +23,23 @@ are expressed as forward propagation clauses rather than enumerating SWAP
 sequences, matching the size the paper reports for its "only-one" encoding.
 
 Clauses are emitted in bulk.  Each constraint family (injectivity AMO per
-step, totality, gate adjacency, each SWAP slot, the initial pin, cyclic
-closure, noise-aware gate costs) is written into a zero-terminated int32
-buffer and handed to :meth:`WcnfBuilder.add_flat
-<repro.maxsat.wcnf.WcnfBuilder.add_flat>`, which validates it once and, with
-a live session attached, streams it through
-:meth:`ClauseSink.add_flat <repro.sat.session.ClauseSink.add_flat>` into the
-solve core in a single call.
+step, totality, gate adjacency, each SWAP slot, cyclic closure, noise-aware
+gate costs) is written into a zero-terminated int32 buffer and handed to
+:meth:`WcnfBuilder.add_flat <repro.maxsat.wcnf.WcnfBuilder.add_flat>`, which
+validates it once and stores it; the MaxSAT search later streams each
+buffer into the solve core in a single call.  An inherited initial map is
+never a clause: callers pin it per solve with the assumptions of
+:meth:`QmrEncoding.initial_mapping_assumptions`.
 
-Only the gate adjacency (Hard B) and the initial pin depend on the gates.
+Only the gate adjacency (Hard B) depends on the gates.
 Everything else depends on the *shape* alone: the device's qubits and edges,
 the logical-qubit count, the step count and the slot options.  Slicing cuts
 a circuit into many instances of a few shapes, so the encoder keeps one
 :class:`EncodingTemplate` per shape in a process-wide, lock-guarded LRU
 (:func:`template_cache`) holding the gate-independent buffers, the soft
 literals and a compact :class:`~repro.core.variables.VariableLayout`.  An
-encode replays the template around a freshly built adjacency family and
-pin, so a slice costs what its gates cost.  The clauses, their order and
+encode replays the template around a freshly built adjacency family, so a
+slice costs what its gates cost.  The clauses, their order and
 the variable numbering are exactly those of clause-at-a-time emission.  The
 cache never holds more than :data:`TEMPLATE_CACHE_BYTES`.  Noise-aware
 encoders share the templates of their shape and build their weighted soft
@@ -91,12 +91,6 @@ class EncodingOptions:
     #: Add a trailing SWAP slot after the last gate and force the map it
     #: produces to equal the initial map (Section VI).
     cyclic: bool = False
-    fixed_initial_mapping: dict[int, int] | None = None
-    #: When true, ``fixed_initial_mapping`` is *not* baked in as hard unit
-    #: clauses; callers pin it per solve call via
-    #: :meth:`QmrEncoding.initial_mapping_assumptions`.  This is what lets a
-    #: live session re-solve one encoding under a different inherited map.
-    pin_initial_via_assumptions: bool = False
     noise_model: NoiseModel | None = None
 
     def __post_init__(self) -> None:
@@ -156,8 +150,9 @@ class QmrEncoding:
     def initial_mapping_assumptions(self, mapping: dict[int, int]) -> list[int]:
         """Assumption literals pinning the initial map for one solve call.
 
-        Used with :attr:`EncodingOptions.pin_initial_via_assumptions`: the
-        same encoding (and the same live solver) can then be re-solved under
+        The pin applies at the root step: -1 when a leading transition
+        exists (the inherited map applies *before* its slots), 0 otherwise.
+        The same encoding (and the same live solver) can be re-solved under
         a different inherited map by swapping the assumption set, which is
         how slicing backtracks without re-encoding.
         """
@@ -188,7 +183,7 @@ class EncodingTemplate:
     ``slots`` every SWAP slot (Hard C and Hard D, with the injectivity of
     its pseudo-steps and of the trailing step); ``closure`` the cyclic
     closure.  :meth:`QmrEncoder.encode_interactions` replays them around a
-    freshly built gate-adjacency family and initial pin, which gives the
+    freshly built gate-adjacency family, which gives the
     clauses, clause order and variable numbering of building everything
     from scratch.  Templates are shared between threads and never mutated.
     """
@@ -277,30 +272,23 @@ class QmrEncoder:
 
     # ------------------------------------------------------------------ API
 
-    def encode(self, circuit: QuantumCircuit, sink=None) -> QmrEncoding:
+    def encode(self, circuit: QuantumCircuit) -> QmrEncoding:
         """Encode ``circuit`` (its two-qubit interaction sequence) as MaxSAT.
-
-        With a ``sink`` (a :class:`~repro.sat.session.ClauseSink`, typically a
-        live :class:`~repro.sat.session.SatSession`), each constraint family
-        is streamed into it as one flat buffer the moment it is complete, so
-        by the time this method returns the attached solver already holds
-        the formula.
 
         Interaction extraction reads the circuit IR's two-qubit columns
         directly (O(#interactions), no gate-list rescans), so slice views
         encode without ever materialising their gates.
         """
         interactions = circuit.interaction_sequence()
-        return self.encode_interactions(interactions, circuit.num_qubits, sink=sink)
+        return self.encode_interactions(interactions, circuit.num_qubits)
 
     def encode_interactions(self, interactions: list[tuple[int, int]],
-                            num_logical: int, sink=None) -> QmrEncoding:
+                            num_logical: int) -> QmrEncoding:
         """Encode an explicit interaction sequence over ``num_logical`` qubits.
 
         The shape's :class:`EncodingTemplate` (from the process-wide cache,
         or built now) supplies every gate-independent clause; only the gate
-        adjacency, the initial pin and any noise-aware objective are built
-        per call.
+        adjacency and any noise-aware objective are built per call.
         """
         architecture = self.architecture
         options = self.options
@@ -314,8 +302,6 @@ class QmrEncoder:
         template = self.template(num_logical, len(steps))
         layout = template.layout
         builder = WcnfBuilder(num_vars=template.num_vars)
-        if sink is not None:
-            builder.attach_sink(sink)
         encoding = QmrEncoding(
             builder=builder,
             layout=layout,
@@ -329,7 +315,6 @@ class QmrEncoder:
         builder.add_flat(template.head)
         builder.add_flat(self._encode_gate_adjacency(layout, steps))
         builder.add_flat(template.slots)
-        builder.add_flat(self._encode_initial_mapping(encoding))
         builder.add_flat(template.closure)
         if options.noise_model is None:
             for literal in template.soft:
@@ -558,28 +543,6 @@ class QmrEncoder:
                     out += [partner + neighbor for neighbor in neighbors[physical]]
                     out.append(0)
         return array("i", out)
-
-    def _encode_initial_mapping(self, encoding: QmrEncoding) -> array:
-        """Pin the initial map to a given mapping (used by the local relaxation).
-
-        The pin applies at the root step: -1 when a leading transition exists
-        (the inherited map applies *before* its slots), 0 otherwise.
-
-        When ``pin_initial_via_assumptions`` is set the mapping is *not*
-        encoded as hard clauses; the caller assumes the corresponding map
-        variables per solve call instead (see
-        :meth:`QmrEncoding.initial_mapping_assumptions`).
-        """
-        fixed = encoding.options.fixed_initial_mapping
-        out = array("i")
-        if not fixed or encoding.options.pin_initial_via_assumptions:
-            return out
-        root_step = encoding.root_step
-        for logical, physical in fixed.items():
-            if logical < encoding.num_logical:
-                out.append(encoding.layout.map_var(logical, physical, root_step))
-                out.append(0)
-        return out
 
     def _encode_noise_aware_soft(self, encoding: QmrEncoding) -> None:
         """Noise-aware objective (Q6): weighted SWAP and gate-placement costs.

@@ -93,10 +93,7 @@ class HybridSatMapRouter(BaseRouter):
         are trivially satisfiable).
         """
         builder, map_var = placement_instance(circuit, architecture)
-        # The whole hard part reaches the live session in one flat call, so
-        # the MaxSAT call below starts from a loaded solver.
         session = SatSession(backend=self.solver_backend)
-        builder.attach_sink(session)
         num_logical = circuit.num_qubits
         num_physical = architecture.num_qubits
         result = MaxSatSolver(session=session).solve(

@@ -15,7 +15,7 @@ budget: the MaxSAT search is anytime, so when the budget expires the best
 model found so far is extracted and reported as a feasible (non-optimal)
 solution.
 
-Solving is *incremental*: each (sub)circuit encoding streams into a
+Solving is *incremental*: each (sub)circuit encoding is solved on a
 persistent :class:`~repro.sat.session.SatSession` and the resulting
 :class:`SliceContext` can be handed back to :meth:`SatMapRouter.solve_monolithic`
 to re-solve the same encoding -- with extra excluded final mappings, or under
@@ -44,22 +44,22 @@ from repro.sat.session import SatSession
 class SliceContext:
     """Reusable solve state for one (sub)circuit encoding.
 
-    Bundles the persistent session, the encoding built on top of it, and the
-    MaxSAT facade whose relaxation state (selectors, bound totalizer) is tied
-    to both.  A context is only reusable for the *same* slot configuration;
-    escalation (more leading slots, more swaps per gate) changes the encoding
-    shape and forces a rebuild.
+    Bundles the encoding and the MaxSAT search that solves it on its
+    persistent session (``maxsat.session``); the search's relaxation state
+    (selectors, bound totalizer) is tied to both.  A context is only
+    reusable for the *same* slot configuration; escalation (more leading
+    slots, more swaps per gate) changes the encoding shape and forces a
+    rebuild.
     """
 
-    session: SatSession
     encoding: QmrEncoding
     maxsat: MaxSatSolver
     #: Identity of the instance the encoding was built for (circuit
     #: interactions + architecture); reuse with anything else is refused.
     instance_key: tuple = ()
-    #: The excluded final mappings already streamed into the session, in
-    #: order.  Exclusion clauses are permanent, so a reuse request must
-    #: *extend* this list; anything else gets a fresh context.
+    #: The excluded final mappings already added to the encoding, in order.
+    #: Exclusion clauses are permanent, so a reuse request must *extend*
+    #: this list; anything else gets a fresh context.
     excluded: list[dict[int, int]] = field(default_factory=list)
     leading_slots: int | None = None
     swaps_per_gate: int | None = None
@@ -75,7 +75,7 @@ class SliceContext:
                 fixed_initial_mapping: dict[int, int] | None,
                 excluded_final_mappings: list[dict[int, int]]) -> bool:
         """Whether this context can solve the requested configuration."""
-        if not self.session.ok:
+        if not self.maxsat.session.ok:
             return False  # the streamed formula went root-UNSAT; start over
         if self.instance_key != instance_key:
             return False  # a context never answers for a different instance
@@ -87,12 +87,11 @@ class SliceContext:
                 or self.swaps_per_gate != swaps_per_gate
                 or self.cyclic != cyclic):
             return False
-        # A pinned initial map is only re-expressible if the encoding pins
-        # via assumptions (it always does when built with a fixed map; a
-        # context built without one cannot suddenly pin).
-        if fixed_initial_mapping is not None:
-            return self.encoding.options.pin_initial_via_assumptions
-        return self.encoding.options.fixed_initial_mapping is None
+        # A pin is a set of assumptions on the map before the leading
+        # transition, so a pinned request needs an encoding that has one and
+        # an unpinned request one that does not.
+        pinned = fixed_initial_mapping is not None
+        return pinned == (self.encoding.options.leading_slots is not None)
 
 
 @dataclass
@@ -146,6 +145,8 @@ class SatMapRouter(BaseRouter):
     ) -> None:
         if slice_size is not None and slice_size <= 0:
             raise ValueError("slice_size must be positive or None")
+        if swaps_per_gate < 1:
+            raise ValueError("swaps_per_gate must be at least 1")
         if solver_backend is not None:
             from repro.sat.backends import BACKEND_CHOICES
 
@@ -197,10 +198,11 @@ class SatMapRouter(BaseRouter):
         again; the local relaxation uses it to implement backtracking (each
         entry becomes the negation of that mapping's assignment, Example 10).
 
-        A compatible ``context`` (from a previous outcome on the same circuit)
-        is *reused*: only exclusion clauses the context has not seen yet are
-        streamed in, the inherited initial map is pinned via assumptions, and
-        the session's learnt clauses carry over.
+        ``fixed_initial_mapping`` (the inherited map) is pinned per solve by
+        assumptions, never by clauses.  A compatible ``context`` (from a
+        previous outcome on the same circuit) is *reused*: only exclusion
+        clauses the context has not seen yet are streamed in, and the
+        session's learnt clauses carry over.
         """
         excluded = excluded_final_mappings or []
         timings: dict[str, float] = {}
@@ -228,11 +230,9 @@ class SatMapRouter(BaseRouter):
                             hard_clauses=encoding.num_hard_clauses,
                             soft_clauses=encoding.num_soft_clauses)
 
-        assumptions: list[int] | None = None
-        if (fixed_initial_mapping
-                and encoding.options.pin_initial_via_assumptions):
-            assumptions = encoding.initial_mapping_assumptions(fixed_initial_mapping)
+        assumptions = encoding.initial_mapping_assumptions(fixed_initial_mapping or {})
 
+        session = context.maxsat.session
         solve_start = time.monotonic()
         with obs_trace.span("solve") as solve_span:
             maxsat_result = context.maxsat.solve(encoding.builder,
@@ -241,7 +241,7 @@ class SatMapRouter(BaseRouter):
             timings["solve"] = time.monotonic() - solve_start
             solve_span.set(status=maxsat_result.status.value,
                            sat_calls=maxsat_result.sat_calls,
-                           **context.session.solver_stats())
+                           **session.solver_stats())
         context.solves += 1
 
         base = RoutingResult(
@@ -253,9 +253,9 @@ class SatMapRouter(BaseRouter):
             num_hard_clauses=encoding.num_hard_clauses,
             num_soft_clauses=encoding.num_soft_clauses,
             stage_timings=timings,
-            clauses_streamed=context.session.stats.clauses_streamed,
-            learnt_clauses_retained=context.session.learnt_clauses_retained,
-            solver_stats=context.session.solver_stats(),
+            clauses_streamed=session.stats.clauses_streamed,
+            learnt_clauses_retained=session.learnt_clauses_retained,
+            solver_stats=session.solver_stats(),
         )
         if maxsat_result.status is MaxSatStatus.UNSATISFIABLE:
             base.status = RoutingStatus.UNSATISFIABLE
@@ -289,7 +289,7 @@ class SatMapRouter(BaseRouter):
         leading_slots: int | None,
         swaps_per_gate: int | None,
     ) -> SliceContext:
-        """Fresh session + streamed encoding."""
+        """Fresh encoding and a MaxSAT search on a fresh session."""
         pinned = fixed_initial_mapping is not None
         swaps = swaps_per_gate or self.swaps_per_gate
         options = EncodingOptions(
@@ -297,16 +297,11 @@ class SatMapRouter(BaseRouter):
             collapse_repeated_pairs=self.collapse_repeated_pairs,
             leading_slots=(leading_slots or swaps) if pinned else None,
             cyclic=cyclic,
-            fixed_initial_mapping=fixed_initial_mapping,
-            pin_initial_via_assumptions=pinned,
             noise_model=self.noise_model,
         )
-        session = SatSession(backend=self.solver_backend)
-        encoding = QmrEncoder(architecture, options).encode(circuit, sink=session)
         return SliceContext(
-            session=session,
-            encoding=encoding,
-            maxsat=MaxSatSolver(session=session),
+            encoding=QmrEncoder(architecture, options).encode(circuit),
+            maxsat=MaxSatSolver(session=SatSession(backend=self.solver_backend)),
             instance_key=instance_key,
             leading_slots=leading_slots,
             swaps_per_gate=swaps_per_gate,

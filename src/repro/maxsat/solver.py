@@ -16,7 +16,9 @@ what makes the approach usable on circuits where the optimum is out of reach.
 
 The search always runs on a :class:`~repro.sat.session.SatSession` (the one
 it is given, or one of its own): the session's CDCL solver stays alive across
-``solve()`` calls, the hard clauses stream in exactly once, the soft-clause
+``solve()`` calls, the builder's hard clauses stream in exactly once (each
+call feeds only those added since the last, with
+:meth:`~repro.maxsat.wcnf.WcnfBuilder.stream_hard`), the soft-clause
 selectors and the totalizer bound structure are built exactly once, and cost
 bounds are expressed as *assumptions* on totalizer outputs instead of
 permanent unit clauses.  Repeated solves of the same builder (a slicing
@@ -98,6 +100,8 @@ class MaxSatSolver:
         #: The formula this solver answers for.  Streamed clauses are
         #: permanent, so one session can only ever answer for one formula.
         self.builder: WcnfBuilder | None = None
+        #: Words of the builder's hard clauses the session already holds.
+        self._loaded = 0
         self._weighted_selectors: list[tuple[int, int]] = []
         self._weighted = False
         self._approximate = False
@@ -122,11 +126,11 @@ class MaxSatSolver:
                 "a MaxSatSolver is bound to the first builder it solves (the "
                 "session permanently holds that formula's clauses); use a "
                 "fresh session for a different instance")
+        # Feed the session only the hard clauses it has not seen yet.  This
+        # is ingestion, not search, so it does not spend the time budget.
+        self._loaded = builder.stream_hard(self.session, self._loaded)
         start = time.monotonic()
         base_assumptions = list(assumptions or [])
-        # Stream (idempotently) through the builder: clauses the session has
-        # already seen are not replayed.
-        builder.attach_sink(self.session)
         sat = self.session.solver
 
         # Relax the soft clauses (budget-aware: large encodings can spend the
@@ -288,9 +292,9 @@ class MaxSatSolver:
             self._bound_weights = [1] * len(weighted_selectors)
             self._totalizer = Totalizer(builder,
                                         [sel for sel, _ in weighted_selectors])
-        # The totalizer clauses streamed through the attached builder; the
-        # sync also declares its output variables to the session.
-        builder.sync_sink()
+        # The totalizer clauses went into the builder; streaming them also
+        # declares its output variables to the session.
+        self._loaded = builder.stream_hard(self.session, self._loaded)
 
     def _bound_assumptions(self, best_bound_cost: int) -> list[int]:
         """Assumption literals asserting "bound cost strictly below the best"."""

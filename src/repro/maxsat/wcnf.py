@@ -14,13 +14,11 @@ process, not once per encoding.  A buffer handed to ``add_flat`` must not
 be modified afterwards.  Single clauses (exclusion clauses) go through
 :meth:`~WcnfBuilder.add_hard`, which appends to a segment the builder owns.
 
-The builder is itself a :class:`repro.sat.session.ClauseSink`, and it can be
-*attached* to another sink -- typically a live
-:class:`~repro.sat.session.SatSession`.  While attached, every hard clause or
-buffer is streamed into the session the moment it is added (a buffer in one
-``add_flat`` call), so the MaxSAT search never replays the store into a
-fresh solver: by the time it runs, the session already holds the formula.
-Readers that feed a solver of their own use :meth:`~WcnfBuilder.stream_hard`.
+The builder is a plain store: it never talks to a solver.  Readers feed a
+solver with :meth:`~WcnfBuilder.stream_hard`, one ``add_flat`` call per
+stored segment, and resume from the word offset it returns, so each clause
+reaches a live solver exactly once however often the store grows between
+solves.
 """
 
 from __future__ import annotations
@@ -57,11 +55,6 @@ class WcnfBuilder:
     _tail: array | None = field(default=None, repr=False, compare=False)
     _num_words: int = field(default=0, repr=False)
     _num_hard: int = field(default=0, repr=False)
-    #: Attached streaming sink (a ``SatSession`` in practice); ``None`` keeps
-    #: the builder a plain in-memory container.
-    _sink: object | None = field(default=None, repr=False, compare=False)
-    #: Words of the hard clauses the sink has already received.
-    _streamed: int = field(default=0, repr=False, compare=False)
 
     def new_var(self) -> int:
         """Allocate a fresh Boolean variable and return its index."""
@@ -73,13 +66,8 @@ class WcnfBuilder:
         return [self.new_var() for _ in range(count)]
 
     def add_hard(self, clause: list[int]) -> None:
-        """Add a hard clause (must be satisfied by every solution).
-
-        When a sink is attached the clause is also streamed into it
-        immediately, so attached solvers stay in sync clause by clause.
-        """
+        """Add a hard clause (must be satisfied by every solution)."""
         self._validate(clause)
-        in_sync = self._in_sync()
         tail = self._tail
         if tail is None:
             tail = self._tail = array("i")
@@ -88,18 +76,12 @@ class WcnfBuilder:
         tail.append(0)
         self._num_words += len(clause) + 1
         self._num_hard += 1
-        if in_sync:
-            self._sink.ensure_vars(self.num_vars)
-            self._sink.add_hard(clause)
-            self._streamed = self._num_words
-        elif self._sink is not None:
-            self.sync_sink()
 
     def add_flat(self, buffer) -> int:
         """Add a zero-terminated int32 buffer of hard clauses; return their count.
 
         The buffer is validated once, as a whole (see :mod:`repro.sat.flat`),
-        and an attached sink receives it in a single ``add_flat`` call.  An
+        and :meth:`stream_hard` hands it on in a single ``add_flat`` call.  An
         ``array`` is stored by reference, so it must not be modified
         afterwards; any other buffer is copied.
         """
@@ -108,7 +90,6 @@ class WcnfBuilder:
             return 0
         if largest > self.num_vars:
             self.num_vars = largest
-        in_sync = self._in_sync()
         if type(buffer) is not array:
             segment = array("i")
             segment.frombytes(memoryview(buffer).cast("B"))
@@ -117,12 +98,6 @@ class WcnfBuilder:
         self._tail = None
         self._num_words += len(buffer)
         self._num_hard += count
-        if in_sync:
-            self._sink.ensure_vars(self.num_vars)
-            self._sink.add_flat(buffer)
-            self._streamed = self._num_words
-        elif self._sink is not None:
-            self.sync_sink()
         return count
 
     def add_soft(self, clause: list[int], weight: int = 1) -> None:
@@ -145,28 +120,6 @@ class WcnfBuilder:
                 self.num_vars = magnitude
 
     # ------------------------------------------------------------ streaming
-
-    def _in_sync(self) -> bool:
-        """Whether the sink holds every clause so far (fast streaming path)."""
-        return self._sink is not None and self._streamed == self._num_words
-
-    def attach_sink(self, sink) -> None:
-        """Stream hard clauses into ``sink`` as they are added.
-
-        Clauses already in the builder are streamed immediately (exactly
-        once); afterwards every :meth:`add_hard` / :meth:`add_flat` forwards
-        its clauses the moment they exist.  Attaching a *different* sink
-        restarts streaming from the first clause for that sink.
-        """
-        if sink is not self._sink:
-            self._sink = sink
-            self._streamed = 0
-        self.sync_sink()
-
-    def sync_sink(self) -> None:
-        """Stream any hard clauses the attached sink has not seen yet."""
-        if self._sink is not None:
-            self._streamed = self.stream_hard(self._sink, self._streamed)
 
     def stream_hard(self, target, start: int = 0) -> int:
         """Feed the hard clauses from word ``start`` on into ``target``.
@@ -229,11 +182,6 @@ class WcnfBuilder:
             if not clause_satisfied(soft.literals, model):
                 cost += soft.weight
         return cost
-
-    def ensure_vars(self, max_var: int) -> None:
-        """Grow the variable counter to cover ``max_var`` (ClauseSink API)."""
-        if max_var > self.num_vars:
-            self.num_vars = max_var
 
 
 def clause_satisfied(clause: list[int], model: Mapping[int, bool]) -> bool:

@@ -11,9 +11,8 @@ The public entry points are:
 * :class:`repro.sat.solver.SatSolver` -- the incremental CDCL solver.
 * :class:`repro.sat.solver.SolveResult` -- SAT/UNSAT/UNKNOWN outcome.
 * :class:`repro.sat.session.SatSession` -- a persistent solve session that
-  keeps one solver (and its learnt clauses) alive across calls.
-* :class:`repro.sat.session.ClauseSink` -- the streaming-ingestion protocol
-  shared by sessions and the WCNF builder.
+  keeps one solver (and its learnt clauses) alive across calls; clauses
+  stream in one at a time or as flat buffers (:mod:`repro.sat.flat`).
 * :mod:`repro.sat.dimacs` -- reading and writing DIMACS CNF / WCNF files.
 * :mod:`repro.sat.preprocessing` -- clause-level simplification.
 * :mod:`repro.sat.enumeration` -- blocking-clause model enumeration.
@@ -32,7 +31,7 @@ from repro.sat.backends import (
     native_available,
     resolve_backend,
 )
-from repro.sat.session import ClauseSink, SatSession, SessionStats
+from repro.sat.session import SatSession, SessionStats
 from repro.sat.preprocessing import Preprocessor, PreprocessResult, simplify_clauses
 from repro.sat.enumeration import ModelEnumerator, all_models, count_models
 
@@ -42,7 +41,6 @@ __all__ = [
     "SolverStatus",
     "SatSession",
     "SessionStats",
-    "ClauseSink",
     "available_backends",
     "create_solver",
     "describe_backends",

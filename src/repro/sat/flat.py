@@ -3,9 +3,10 @@
 A flat buffer holds clauses back to back, each followed by a ``0``
 terminator -- the DIMACS body without the line breaks, e.g.
 ``array('i', [1, -2, 0, 3, 0])`` is the two clauses ``(1 | -2)`` and
-``(3)``.  Encoders write whole constraint families into one such buffer
-and hand it to :meth:`~repro.sat.session.ClauseSink.add_flat`, so a
-family costs one call into the solve core instead of one per clause.
+``(3)``.  Encoders write whole constraint families into one such buffer,
+and a solver or :class:`~repro.sat.session.SatSession` ingests it through
+``add_flat``, so a family costs one call into the solve core instead of
+one per clause.
 
 Buffers are checked once, as a whole, before any clause is ingested:
 anything that is not a one-dimensional buffer of C ``int`` raises

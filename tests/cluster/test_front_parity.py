@@ -49,6 +49,15 @@ def wire_architecture_submit(num_qubits: int, edges: list) -> bytes:
     return request_bytes("POST", "/v1/jobs", json.dumps(payload).encode())
 
 
+def router_submit(router: str, time_budget: float | None = None) -> bytes:
+    """A valid submit but for its router spec or wire budget."""
+    payload = json.loads(valid_submit_body(seed=4))
+    payload["router"] = router
+    if time_budget is not None:
+        payload["time_budget"] = time_budget
+    return request_bytes("POST", "/v1/jobs", json.dumps(payload).encode())
+
+
 #: ``(case, raw request, expected status)``; ``{job}`` is a finished job.
 CASES = [
     ("unknown path", request_bytes("GET", "/v1/nope"), 404),
@@ -69,6 +78,8 @@ CASES = [
      400),
     ("architecture over the qubit limit", wire_architecture_submit(
         protocol.MAX_WIRE_QUBITS + 1, [[0, 1], [1, 2], [2, 3]]), 400),
+    ("NaN wire budget", router_submit(ROUTER, float("nan")), 400),
+    ("swaps_per_gate=0", router_submit("satmap:swaps_per_gate=0"), 400),
     ("wait=-inf", request_bytes("GET", "/v1/jobs/{job}?wait=-inf"), 200),
     ("wait=nan", request_bytes("GET", "/v1/jobs/{job}?wait=nan"), 200),
 ]

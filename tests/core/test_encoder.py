@@ -108,8 +108,10 @@ class TestEncodingSize:
 
 
 class TestEncodingSemantics:
-    def solve(self, encoding):
-        return MaxSatSolver().solve(encoding.builder, time_budget=30)
+    def solve(self, encoding, pin=None):
+        assumptions = encoding.initial_mapping_assumptions(pin) if pin else None
+        return MaxSatSolver().solve(encoding.builder, time_budget=30,
+                                    assumptions=assumptions)
 
     def test_adjacent_gate_needs_no_swap(self):
         encoding = encode(two_cx_circuit(), line_architecture(3))
@@ -132,30 +134,24 @@ class TestEncodingSemantics:
         circuit = QuantumCircuit(3, [cx(0, 2)])
         # Pin 0 -> 0 and 2 -> 2 on a line: they are distance 2 apart, and with
         # no leading swap slot the gate cannot be executed.
-        encoding = encode(circuit, line_architecture(3),
-                          fixed_initial_mapping={0: 0, 1: 1, 2: 2})
-        result = self.solve(encoding)
+        encoding = encode(circuit, line_architecture(3))
+        result = self.solve(encoding, pin={0: 0, 1: 1, 2: 2})
         assert result.status is MaxSatStatus.UNSATISFIABLE
 
     def test_fixed_initial_mapping_with_leading_slot(self):
         circuit = QuantumCircuit(3, [cx(0, 2)])
-        encoding = encode(circuit, line_architecture(3),
-                          fixed_initial_mapping={0: 0, 1: 1, 2: 2},
-                          leading_slots=1)
-        result = self.solve(encoding)
+        encoding = encode(circuit, line_architecture(3), leading_slots=1)
+        result = self.solve(encoding, pin={0: 0, 1: 1, 2: 2})
         assert result.is_optimal and result.cost == 1
 
     def test_unsolvable_with_one_slot_needs_more(self):
         circuit = QuantumCircuit(4, [cx(0, 3)])
         # Pin the qubits three hops apart; one leading swap is not enough.
-        encoding = encode(circuit, line_architecture(4),
-                          fixed_initial_mapping={0: 0, 1: 1, 2: 2, 3: 3},
-                          leading_slots=1)
-        assert self.solve(encoding).status is MaxSatStatus.UNSATISFIABLE
-        encoding = encode(circuit, line_architecture(4),
-                          fixed_initial_mapping={0: 0, 1: 1, 2: 2, 3: 3},
-                          leading_slots=2)
-        result = self.solve(encoding)
+        pin = {0: 0, 1: 1, 2: 2, 3: 3}
+        encoding = encode(circuit, line_architecture(4), leading_slots=1)
+        assert self.solve(encoding, pin).status is MaxSatStatus.UNSATISFIABLE
+        encoding = encode(circuit, line_architecture(4), leading_slots=2)
+        result = self.solve(encoding, pin)
         assert result.is_optimal and result.cost == 2
 
     def test_cyclic_closure_costs_more(self):

@@ -1,7 +1,7 @@
 """Per-shape encoding templates and byte-backed native models.
 
 A template holds every gate-independent clause of one encoding shape; an
-encode replays it around a fresh gate-adjacency family and initial pin.
+encode replays it around a fresh gate-adjacency family.
 These tests pin the guarantees that make the replay safe: a warm encode
 (template reused from another circuit of the same shape) is identical to a
 cold one, down to what a live session ingests and answers; the cache stays
@@ -51,16 +51,15 @@ def _fingerprint(encoding) -> tuple:
 class TestColdAndWarm:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_golden_case_hashes_the_same_cold_and_warm(self, name):
-        architecture, circuit, options = CASES[name]
-        cold = encoding_digest(architecture, circuit, options)
+        cold = encoding_digest(*CASES[name])
         cached = len(template_cache())
-        warm = encoding_digest(architecture, circuit, options)
+        warm = encoding_digest(*CASES[name])
         assert cold == warm == GOLDEN[name]
         # The warm encode reused the cold one's template.
         assert len(template_cache()) == cached == 1
 
     def test_a_noise_aware_encode_replays_the_plain_template(self):
-        architecture, circuit, options = CASES["noise"]
+        architecture, circuit, options, _ = CASES["noise"]
         plain = {key: value for key, value in options.items()
                  if key != "noise_model"}
         encoding_digest(architecture, circuit, plain)
@@ -86,42 +85,33 @@ class TestColdAndWarm:
             leading_slots=(rng.choice([1, 2, 3])
                            if pinned or rng.random() < 0.3 else None),
             cyclic=rng.random() < 0.3,
-            fixed_initial_mapping=pin if pinned else None,
-            pin_initial_via_assumptions=pinned and rng.random() < 0.5,
         )
         encoder = QmrEncoder(architecture, EncodingOptions(**options))
-
-        def encode(interactions):
-            session = SatSession(backend=backend)
-            encoding = encoder.encode_interactions(interactions, num_logical,
-                                                   sink=session)
-            return encoding, session
-
-        cold, cold_session = encode(pairs)
+        cold = encoder.encode_interactions(pairs, num_logical)
         # Another circuit of the same shape: the same gates on relabelled
         # qubits keep the step count, so it shares the template.
         relabel = rng.sample(range(num_logical), num_logical)
         template_cache().clear()
-        encode([(relabel[a], relabel[b]) for a, b in pairs])
+        encoder.encode_interactions([(relabel[a], relabel[b]) for a, b in pairs],
+                                    num_logical)
         assert len(template_cache()) == 1
-        warm, warm_session = encode(pairs)
+        warm = encoder.encode_interactions(pairs, num_logical)
         assert len(template_cache()) == 1
 
         assert _fingerprint(warm) == _fingerprint(cold)
-        assert (warm_session.solver.export_clauses()
-                == cold_session.solver.export_clauses())
-        assumptions = (cold.initial_mapping_assumptions(pin)
-                       if options["pin_initial_via_assumptions"] else [])
+        assumptions = cold.initial_mapping_assumptions(pin) if pinned else []
         assert warm.initial_mapping_assumptions(pin) == \
             cold.initial_mapping_assumptions(pin)
         outcomes = []
-        for encoding, session in ((cold, cold_session), (warm, warm_session)):
+        for encoding in (cold, warm):
+            session = SatSession(backend=backend)
             result = MaxSatSolver(session=session).solve(
                 encoding.builder, time_budget=60, assumptions=assumptions)
             solution = (extract_solution(encoding, result.model)
                         if result.has_model else None)
             outcomes.append((result.status, result.cost, dict(result.model),
-                             solution, session.solver_stats()))
+                             solution, session.solver_stats(),
+                             session.solver.export_clauses()))
         assert outcomes[0] == outcomes[1]
 
 

@@ -26,7 +26,7 @@ class TestMonolithicContextReuse:
         outcome = router.solve_monolithic(circuit, arch, 30)
         assert outcome.result.solved
         assert outcome.context is not None
-        assert outcome.context.session.stats.clauses_streamed > 0
+        assert outcome.context.maxsat.session.stats.clauses_streamed > 0
         assert outcome.context.solves == 1
 
     def test_exclusion_resolve_reuses_the_context(self):

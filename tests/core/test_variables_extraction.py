@@ -81,7 +81,7 @@ class TestVariableLayout:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_every_golden_case_round_trips_through_the_lookups(name):
     """Map and swap variables invert exactly; auxiliaries look up to nothing."""
-    architecture, circuit, options = CASES[name]
+    architecture, circuit, options, _ = CASES[name]
     encoding = QmrEncoder(architecture, EncodingOptions(**options)).encode(circuit)
     layout = encoding.layout
     num_physical = architecture.num_qubits

@@ -83,13 +83,13 @@ class TestRouteCommand:
 
 class TestBudgetValidation:
     @pytest.mark.parametrize("command", ["route", "compare"])
-    @pytest.mark.parametrize("budget", ["0", "-1"])
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
     def test_non_positive_budget_is_a_usage_error(self, command, budget,
                                                   qasm_file, capsys):
         argv = [command, str(qasm_file), "--time-budget", budget]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: --time-budget must be positive\n")
+            "error: --time-budget must be positive and finite\n")
 
 
 class TestInfoAndCompare:

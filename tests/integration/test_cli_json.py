@@ -68,6 +68,17 @@ class TestRouteJson:
             build_parser().parse_args(["route", str(qasm_file),
                                        "--router", "satmap:slize_size=9"])
 
+    @pytest.mark.parametrize("router", ["satmap:slice_size=0",
+                                        "satmap:swaps_per_gate=0",
+                                        "satmap:time_budget=nan"])
+    def test_a_value_the_router_refuses_is_a_usage_error(self, qasm_file,
+                                                          router, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["route", str(qasm_file),
+                                       "--router", router])
+        assert excinfo.value.code == 2
+        assert router.split(":")[1].split("=")[0] in capsys.readouterr().err
+
 
 class TestCompareJson:
     def test_compare_json_records(self, qasm_file, capsys):

@@ -150,6 +150,32 @@ class TestSessionBinding:
         assert solver.solve(first).has_model
 
 
+class TestStreamingFromTheBuilder:
+    def test_a_second_solve_streams_exactly_the_new_clause(self):
+        builder = WcnfBuilder()
+        builder.add_hard([1, 2])
+        builder.add_hard([-1, 3])
+        builder.add_soft([-2])
+        builder.add_soft([-3])
+        session = SatSession()
+        solver = MaxSatSolver(session=session)
+        assert solver.solve(builder).cost == 1
+        streamed = session.stats.clauses_streamed
+        buffers = []
+        original = session.add_flat
+
+        def recording_add_flat(buffer):
+            buffers.append(list(buffer))
+            return original(buffer)
+
+        session.add_flat = recording_add_flat
+        builder.add_hard([-1])
+        second = solver.solve(builder)
+        assert buffers == [[-1, 0]]
+        assert session.stats.clauses_streamed == streamed + 1
+        assert second.is_optimal and second.model[1] is False
+
+
 class TestBudgetInsideSelectorConstruction:
     def test_zero_budget_returns_cleanly_before_selectors(self):
         builder = WcnfBuilder()

@@ -132,10 +132,11 @@ def test_builder_streams_a_buffer_in_one_call_and_stores_it_once(backend):
 
     session.add_flat = counting_add_flat
     builder = WcnfBuilder()
-    builder.attach_sink(session)
     builder.add_hard([1, 2])
     assert builder.add_flat(flat([[-1, 3], [4], [-3, -4, 5]])) == 3
-    assert calls == [9]
+    assert builder.stream_hard(session) == builder.hard_words
+    # One call per stored segment: the single clause, then the whole buffer.
+    assert calls == [3, 9]
     assert builder.num_hard == 4 and builder.num_vars == 5
     assert builder.to_dimacs().hard == [[1, 2], [-1, 3], [4], [-3, -4, 5]]
     assert session.stats.clauses_streamed == 4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api.spec import RouterSpec
@@ -84,6 +86,25 @@ class TestSubmitRoundTrip:
                                           time_budget=7.0)
         job = protocol.parse_submit(payload, catalog)
         assert job.options["time_budget"] == 7.0
+
+    @pytest.mark.parametrize("router, time_budget", [
+        ("satmap", float("nan")),
+        ("satmap", float("inf")),
+        ("satmap:time_budget=inf", None),
+        ("satmap:time_budget=nan", None),
+        ("satmap:swaps_per_gate=0", None),
+        ("nl-satmap:swaps_per_gate=-3", None),
+        ("cyclic:swaps_per_gate=0", None),
+        ("olsq:swaps_per_gate=0", None),
+    ])
+    def test_hostile_router_values_are_rejected_at_the_door(
+            self, circuit, catalog, router, time_budget):
+        # Through JSON text, as a front receives it: Python's json module
+        # reads the NaN and Infinity literals.
+        payload = json.loads(json.dumps(protocol.submit_payload(
+            circuit, "line4", router=router, time_budget=time_budget)))
+        with pytest.raises(ProtocolError, match="time_budget|swaps_per_gate"):
+            protocol.parse_submit(payload, catalog)
 
     def test_unknown_architecture_lists_known_names(self, circuit, catalog):
         payload = protocol.submit_payload(circuit, "no-such-arch")
