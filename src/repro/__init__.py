@@ -96,7 +96,6 @@ from repro.hardware import (
     tokyo_minus_architecture,
     tokyo_plus_architecture,
 )
-from repro.sat import SatSession
 from repro.service import BatchRoutingService, ResultCache, RoutingJob
 from repro.server import RoutingClient, RoutingGateway
 
@@ -130,7 +129,6 @@ __all__ = [
     "ResultCache",
     "RoutingClient",
     "RoutingGateway",
-    "SatSession",
     "tokyo_architecture",
     "tokyo_minus_architecture",
     "tokyo_plus_architecture",

@@ -20,6 +20,7 @@ Two invariants matter for fleet-wide dedup:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -85,8 +86,8 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("a fleet needs at least one worker")
-        if self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+        if not 0 < self.time_budget < math.inf:
+            raise ValueError("time_budget must be positive and finite")
         if self.health_interval <= 0:
             raise ValueError("health_interval must be positive")
 

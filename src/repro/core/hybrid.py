@@ -36,7 +36,6 @@ from repro.hardware.architecture import Architecture
 from repro.maxsat.cardinality import pairwise_amo_clauses
 from repro.maxsat.solver import MaxSatSolver
 from repro.maxsat.wcnf import WcnfBuilder
-from repro.sat.session import SatSession
 
 
 class HybridSatMapRouter(BaseRouter):
@@ -93,18 +92,17 @@ class HybridSatMapRouter(BaseRouter):
         are trivially satisfiable).
         """
         builder, map_var = placement_instance(circuit, architecture)
-        session = SatSession(backend=self.solver_backend)
+        maxsat = MaxSatSolver(backend=self.solver_backend)
         num_logical = circuit.num_qubits
         num_physical = architecture.num_qubits
-        result = MaxSatSolver(session=session).solve(
-            builder, time_budget=time_budget)
+        result = maxsat.solve(builder, time_budget=time_budget)
         stats = {
             "sat_calls": result.sat_calls,
             "num_variables": builder.num_vars,
             "num_hard_clauses": builder.num_hard,
             "num_soft_clauses": builder.num_soft,
-            "clauses_streamed": session.stats.clauses_streamed,
-            "learnt_retained": session.learnt_clauses_retained,
+            "clauses_streamed": maxsat.clauses_streamed,
+            "learnt_retained": maxsat.session.num_learnt(),
             "placement_quality": "optimal" if result.is_optimal else "anytime",
         }
         if not result.has_model:

@@ -49,15 +49,15 @@ class RoutingResult:
     #: summed across slices for sliced runs.  Populated by the MaxSAT-based
     #: routers; heuristics leave it empty.
     stage_timings: dict[str, float] = field(default_factory=dict)
-    #: Cumulative hard clauses streamed into the live session(s) that
-    #: produced this result, over their whole lifetime (a warm re-solve
-    #: reports the session total, not just its own delta).
+    #: Cumulative clauses streamed into the live solver(s) that produced
+    #: this result, over their whole lifetime (a warm re-solve reports the
+    #: solver's total, not just its own delta).
     clauses_streamed: int = 0
-    #: Learnt clauses still retained by the session(s) when the result was
+    #: Learnt clauses still retained by the solver(s) when the result was
     #: produced -- the visible payoff of incremental reuse.
     learnt_clauses_retained: int = 0
     #: CDCL depth counters (conflicts / decisions / propagations / restarts /
-    #: learnt_clauses) accumulated by the session(s) behind this result,
+    #: learnt_clauses) accumulated by the solver(s) behind this result,
     #: summed across slices.  Heuristic routers leave it empty.
     solver_stats: dict = field(default_factory=dict)
     #: Serialised trace tree (a :meth:`repro.obs.Span.to_dict` payload) when

@@ -15,12 +15,13 @@ budget: the MaxSAT search is anytime, so when the budget expires the best
 model found so far is extracted and reported as a feasible (non-optimal)
 solution.
 
-Solving is *incremental*: each (sub)circuit encoding is solved on a
-persistent :class:`~repro.sat.session.SatSession` and the resulting
-:class:`SliceContext` can be handed back to :meth:`SatMapRouter.solve_monolithic`
-to re-solve the same encoding -- with extra excluded final mappings, or under
-a different inherited initial map expressed as assumptions -- without
-re-encoding and without losing what the SAT solver has learnt.
+Solving is *incremental*: each (sub)circuit encoding is solved by a
+:class:`~repro.maxsat.solver.MaxSatSolver` on its own live SAT solver, and the
+resulting :class:`SliceContext` (the encoding plus that search) can be handed
+back to :meth:`SatMapRouter.solve_monolithic` to re-solve the same encoding --
+with extra excluded final mappings, or under a different inherited initial map
+expressed as assumptions -- without re-encoding and without losing what the
+SAT solver has learnt.
 """
 
 from __future__ import annotations
@@ -37,61 +38,28 @@ from repro.core.result import RoutingResult, RoutingStatus
 from repro.hardware.architecture import Architecture
 from repro.hardware.noise import NoiseModel
 from repro.maxsat.solver import MaxSatSolver, MaxSatStatus
-from repro.sat.session import SatSession
 
 
 @dataclass
 class SliceContext:
     """Reusable solve state for one (sub)circuit encoding.
 
-    Bundles the encoding and the MaxSAT search that solves it on its
-    persistent session (``maxsat.session``); the search's relaxation state
-    (selectors, bound totalizer) is tied to both.  A context is only
-    reusable for the *same* slot configuration; escalation (more leading
-    slots, more swaps per gate) changes the encoding shape and forces a
-    rebuild.
+    The encoding and the MaxSAT search that solves it on its live solver
+    (``maxsat.session``); the search's relaxation state (selectors, bound
+    totalizer) is tied to both.  ``solve_monolithic`` reuses a context only
+    for the same circuit and architecture objects under equal
+    :class:`EncodingOptions`; escalation (more leading slots, more swaps per
+    gate) changes the options and so forces a rebuild.
     """
 
     encoding: QmrEncoding
     maxsat: MaxSatSolver
-    #: Identity of the instance the encoding was built for (circuit
-    #: interactions + architecture); reuse with anything else is refused.
-    instance_key: tuple = ()
+    #: The circuit the encoding was built for.
+    circuit: QuantumCircuit
     #: The excluded final mappings already added to the encoding, in order.
     #: Exclusion clauses are permanent, so a reuse request must *extend*
     #: this list; anything else gets a fresh context.
     excluded: list[dict[int, int]] = field(default_factory=list)
-    leading_slots: int | None = None
-    swaps_per_gate: int | None = None
-    cyclic: bool = False
-    solves: int = 0
-
-    @property
-    def excluded_count(self) -> int:
-        return len(self.excluded)
-
-    def matches(self, instance_key: tuple, leading_slots: int | None,
-                swaps_per_gate: int | None, cyclic: bool,
-                fixed_initial_mapping: dict[int, int] | None,
-                excluded_final_mappings: list[dict[int, int]]) -> bool:
-        """Whether this context can solve the requested configuration."""
-        if not self.maxsat.session.ok:
-            return False  # the streamed formula went root-UNSAT; start over
-        if self.instance_key != instance_key:
-            return False  # a context never answers for a different instance
-        if excluded_final_mappings[:len(self.excluded)] != self.excluded:
-            # Already-streamed exclusions are permanent; a request that does
-            # not extend them needs a clean session.
-            return False
-        if (self.leading_slots != leading_slots
-                or self.swaps_per_gate != swaps_per_gate
-                or self.cyclic != cyclic):
-            return False
-        # A pin is a set of assumptions on the map before the leading
-        # transition, so a pinned request needs an encoding that has one and
-        # an unpinned request one that does not.
-        pinned = fixed_initial_mapping is not None
-        return pinned == (self.encoding.options.leading_slots is not None)
 
 
 @dataclass
@@ -162,7 +130,7 @@ class SatMapRouter(BaseRouter):
         self.collapse_repeated_pairs = collapse_repeated_pairs
         self.noise_model = noise_model
         #: Requested solve core (python | native | auto); ``None`` defers to
-        #: ``$REPRO_SAT_BACKEND`` / auto at session-construction time.
+        #: ``$REPRO_SAT_BACKEND`` / auto when each search builds its solver.
         self.solver_backend = solver_backend
         self.name = name or ("SATMAP" if slice_size is not None else "NL-SATMAP")
 
@@ -199,28 +167,42 @@ class SatMapRouter(BaseRouter):
         entry becomes the negation of that mapping's assignment, Example 10).
 
         ``fixed_initial_mapping`` (the inherited map) is pinned per solve by
-        assumptions, never by clauses.  A compatible ``context`` (from a
-        previous outcome on the same circuit) is *reused*: only exclusion
-        clauses the context has not seen yet are streamed in, and the
-        session's learnt clauses carry over.
+        assumptions, never by clauses, on an encoding with a leading
+        transition of ``leading_slots`` (default: the swaps per gate).  A
+        ``context`` from a previous outcome is *reused* when its solver is
+        still satisfiable, it was built for this very ``circuit`` and
+        ``architecture`` under equal options, and ``excluded_final_mappings``
+        extends its exclusions: only the new exclusion clauses are streamed
+        in, and the solver's learnt clauses carry over.
         """
         excluded = excluded_final_mappings or []
         timings: dict[str, float] = {}
         encode_start = time.monotonic()
-        instance_key = _instance_key(circuit, architecture)
+        swaps = swaps_per_gate or self.swaps_per_gate
+        options = EncodingOptions(
+            swaps_per_gate=swaps,
+            collapse_repeated_pairs=self.collapse_repeated_pairs,
+            leading_slots=((leading_slots or swaps)
+                           if fixed_initial_mapping is not None else None),
+            cyclic=cyclic,
+            noise_model=self.noise_model,
+        )
 
         with obs_trace.span("encode") as encode_span:
             if (context is not None
-                    and context.matches(instance_key,
-                                        leading_slots, swaps_per_gate,
-                                        cyclic, fixed_initial_mapping, excluded)):
+                    and context.maxsat.session.ok
+                    and context.circuit is circuit
+                    and context.encoding.architecture is architecture
+                    and context.encoding.options == options
+                    and excluded[:len(context.excluded)] == context.excluded):
                 encode_span.set(reused=True)
             else:
-                context = self._build_context(circuit, architecture, instance_key,
-                                              fixed_initial_mapping, cyclic,
-                                              leading_slots, swaps_per_gate)
+                context = SliceContext(
+                    encoding=QmrEncoder(architecture, options).encode(circuit),
+                    maxsat=MaxSatSolver(backend=self.solver_backend),
+                    circuit=circuit)
             encoding = context.encoding
-            for mapping in excluded[context.excluded_count:]:
+            for mapping in excluded[len(context.excluded):]:
                 clause = encoding.final_mapping_exclusion(mapping)
                 if clause:
                     encoding.builder.add_hard(clause)
@@ -232,17 +214,17 @@ class SatMapRouter(BaseRouter):
 
         assumptions = encoding.initial_mapping_assumptions(fixed_initial_mapping or {})
 
-        session = context.maxsat.session
+        maxsat = context.maxsat
+        sat = maxsat.session
         solve_start = time.monotonic()
         with obs_trace.span("solve") as solve_span:
-            maxsat_result = context.maxsat.solve(encoding.builder,
-                                                 time_budget=time_budget,
-                                                 assumptions=assumptions)
+            maxsat_result = maxsat.solve(encoding.builder,
+                                         time_budget=time_budget,
+                                         assumptions=assumptions)
             timings["solve"] = time.monotonic() - solve_start
             solve_span.set(status=maxsat_result.status.value,
                            sat_calls=maxsat_result.sat_calls,
-                           **session.solver_stats())
-        context.solves += 1
+                           **sat.solver_stats())
 
         base = RoutingResult(
             status=RoutingStatus.TIMEOUT,
@@ -253,9 +235,9 @@ class SatMapRouter(BaseRouter):
             num_hard_clauses=encoding.num_hard_clauses,
             num_soft_clauses=encoding.num_soft_clauses,
             stage_timings=timings,
-            clauses_streamed=session.stats.clauses_streamed,
-            learnt_clauses_retained=session.learnt_clauses_retained,
-            solver_stats=session.solver_stats(),
+            clauses_streamed=maxsat.clauses_streamed,
+            learnt_clauses_retained=sat.num_learnt(),
+            solver_stats=sat.solver_stats(),
         )
         if maxsat_result.status is MaxSatStatus.UNSATISFIABLE:
             base.status = RoutingStatus.UNSATISFIABLE
@@ -278,43 +260,6 @@ class SatMapRouter(BaseRouter):
         if self.noise_model is not None:
             base.objective_value = _routed_fidelity(routed, self.noise_model)
         return MonolithicOutcome(base, context)
-
-    def _build_context(
-        self,
-        circuit: QuantumCircuit,
-        architecture: Architecture,
-        instance_key: tuple,
-        fixed_initial_mapping: dict[int, int] | None,
-        cyclic: bool,
-        leading_slots: int | None,
-        swaps_per_gate: int | None,
-    ) -> SliceContext:
-        """Fresh encoding and a MaxSAT search on a fresh session."""
-        pinned = fixed_initial_mapping is not None
-        swaps = swaps_per_gate or self.swaps_per_gate
-        options = EncodingOptions(
-            swaps_per_gate=swaps,
-            collapse_repeated_pairs=self.collapse_repeated_pairs,
-            leading_slots=(leading_slots or swaps) if pinned else None,
-            cyclic=cyclic,
-            noise_model=self.noise_model,
-        )
-        return SliceContext(
-            encoding=QmrEncoder(architecture, options).encode(circuit),
-            maxsat=MaxSatSolver(session=SatSession(backend=self.solver_backend)),
-            instance_key=instance_key,
-            leading_slots=leading_slots,
-            swaps_per_gate=swaps_per_gate,
-            cyclic=cyclic,
-        )
-
-
-def _instance_key(circuit: QuantumCircuit, architecture: Architecture) -> tuple:
-    """Cheap identity of (circuit interactions, architecture) for context reuse."""
-    return (circuit.num_qubits,
-            tuple(circuit.interaction_sequence()),
-            architecture.num_qubits,
-            tuple(sorted(tuple(sorted(edge)) for edge in architecture.edges)))
 
 
 def _routed_fidelity(routed: QuantumCircuit, noise: NoiseModel) -> float:

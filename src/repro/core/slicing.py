@@ -14,10 +14,10 @@ Memory is bounded by the backtracking window, not by the circuit length.
 Backtracking moves down one slice per unit of budget, so once slice ``i`` is
 solved no slice below ``floor = i + 1 - (backtrack_limit - backtracks)`` can
 ever be re-solved, and that floor never decreases.  Slices below it keep only
-their :class:`RoutingResult` (all the stitching reads); their solve sessions
+their :class:`RoutingResult` (all the stitching reads); their solve contexts
 are released.  Slices inside the window keep their result and their
 :class:`SliceContext` but never the model dict.  The window therefore holds
-at most ``backtrack_limit + 1`` live sessions, and releasing the rest changes
+at most ``backtrack_limit + 1`` live solvers, and releasing the rest changes
 nothing the search can see.
 """
 
@@ -53,7 +53,7 @@ class SliceState:
     leading_slots: int = 1
     #: SWAP slots per gate inside the slice (escalated as a last resort).
     swaps_per_gate: int | None = None
-    #: Persistent solve context: one live session per
+    #: Persistent solve context: one live solver per
     #: slice inside the backtracking window, so re-solves stream only the new
     #: exclusion clause and swap the initial-map assumptions instead of
     #: re-encoding.  Released (set to ``None``) once the slice falls below

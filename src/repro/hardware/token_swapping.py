@@ -19,7 +19,7 @@ finishes deterministically on a BFS spanning tree: leaves of the remaining
 subtree are satisfied one at a time by walking their destined token to them
 along the unique tree path, then removed.  The combination is not optimal --
 token swapping is NP-hard -- but it always terminates with a correct swap
-sequence and matches the greedy quality of the routers that use it.
+sequence and reaches the greedy quality of the routers that use it.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def _complete_on_spanning_tree(architecture: Architecture,
                 apply_swap(path[step], path[step + 1])
         remaining.discard(leaf)
 
-    # Drop the dummy bookkeeping so the caller's view matches its own tokens.
+    # Drop the dummy bookkeeping so the caller's view agrees with its own tokens.
     for token in [token for token in position if token < 0]:
         occupant.pop(position[token], None)
         del position[token]

@@ -5,10 +5,9 @@ improving a model of the hard constraints and can be interrupted at any point,
 returning the best solution found so far.  This package reproduces that
 behaviour with one search built on our CDCL solver:
 :class:`repro.maxsat.solver.MaxSatSolver`, a model-improving linear
-SAT->UNSAT search with a (generalised) totalizer bound, run on a live
-:class:`~repro.sat.session.SatSession`.  It accepts a
-:class:`repro.maxsat.wcnf.WcnfBuilder`, an optional session, and a time
-budget.
+SAT->UNSAT search with a (generalised) totalizer bound, run on a live CDCL
+solver of its own (``MaxSatSolver(backend=...)``).  It accepts a
+:class:`repro.maxsat.wcnf.WcnfBuilder` and a time budget.
 """
 
 from repro.maxsat.wcnf import WcnfBuilder

@@ -10,7 +10,7 @@ Two encoders are provided:
 
 Both are built once, their clauses written into one flat buffer and added
 with a single :meth:`~repro.maxsat.wcnf.WcnfBuilder.add_flat` (so a live
-session ingests the whole structure in one call), and strengthened
+solver ingests the whole structure in one call), and strengthened
 monotonically by asserting unit clauses or assumptions on output literals,
 which is how the linear MaxSAT search tightens its bound between
 SAT calls.

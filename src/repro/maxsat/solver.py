@@ -1,4 +1,4 @@
-"""The MaxSAT search: anytime linear SAT->UNSAT on a live session.
+"""The MaxSAT search: anytime linear SAT->UNSAT on a live solver.
 
 :class:`MaxSatSolver` is what the SATMAP core (and the constraint-based
 baselines) talk to.  It mirrors the interface SATMAP uses with
@@ -14,10 +14,10 @@ unsatisfiable is optimal.  Crucially, the loop can be interrupted by a time
 budget at any point and still returns the best model seen so far -- this is
 what makes the approach usable on circuits where the optimum is out of reach.
 
-The search always runs on a :class:`~repro.sat.session.SatSession` (the one
-it is given, or one of its own): the session's CDCL solver stays alive across
-``solve()`` calls, the builder's hard clauses stream in exactly once (each
-call feeds only those added since the last, with
+Each :class:`MaxSatSolver` drives one CDCL solver of its own (built by
+:func:`repro.sat.create_solver`) for its whole life: the solver stays alive
+across ``solve()`` calls, the builder's hard clauses stream in exactly once
+(each call feeds only those added since the last, with
 :meth:`~repro.maxsat.wcnf.WcnfBuilder.stream_hard`), the soft-clause
 selectors and the totalizer bound structure are built exactly once, and cost
 bounds are expressed as *assumptions* on totalizer outputs instead of
@@ -35,7 +35,7 @@ from enum import Enum
 
 from repro.maxsat.cardinality import GeneralizedTotalizer, Totalizer
 from repro.maxsat.wcnf import WcnfBuilder, clause_satisfied
-from repro.sat.session import SatSession
+from repro.sat.backends import create_solver
 from repro.sat.solver import SolverStatus
 
 #: How many soft clauses are relaxed between wall-clock budget checks.
@@ -87,21 +87,26 @@ class MaxSatSolver:
 
     Parameters
     ----------
-    session:
-        The :class:`~repro.sat.session.SatSession` to solve on (a fresh
-        ``SatSession()`` when omitted).  The underlying SAT solver, the
-        streamed hard clauses and the learnt-clause database survive between
-        ``solve()`` calls, and the solver is bound to the first builder it
-        solves.
+    backend:
+        The SAT core to drive (``python``, ``native`` or ``auto``; ``None``
+        defers to ``$REPRO_SAT_BACKEND``), resolved once by
+        :func:`~repro.sat.backends.create_solver`.  The solver, its streamed
+        hard clauses and its learnt clauses survive between ``solve()``
+        calls, and it is bound to the first builder it solves.
     """
 
-    def __init__(self, *, session: SatSession | None = None) -> None:
-        self.session = session if session is not None else SatSession()
+    def __init__(self, *, backend: str | None = None) -> None:
+        #: The live SAT solver (a ``SatSolver`` or ``NativeSatSolver``).
+        self.session = create_solver(backend)
         #: The formula this solver answers for.  Streamed clauses are
-        #: permanent, so one session can only ever answer for one formula.
+        #: permanent, so one solver can only ever answer for one formula.
         self.builder: WcnfBuilder | None = None
-        #: Words of the builder's hard clauses the session already holds.
+        #: Words of the builder's hard clauses the solver already holds.
         self._loaded = 0
+        #: Hard clauses of the builder streamed so far.
+        self._hard_streamed = 0
+        #: Relaxation clauses added for non-unit soft clauses.
+        self._relaxed = 0
         self._weighted_selectors: list[tuple[int, int]] = []
         self._weighted = False
         self._approximate = False
@@ -123,15 +128,15 @@ class MaxSatSolver:
             self.builder = builder
         elif self.builder is not builder:
             raise ValueError(
-                "a MaxSatSolver is bound to the first builder it solves (the "
-                "session permanently holds that formula's clauses); use a "
-                "fresh session for a different instance")
-        # Feed the session only the hard clauses it has not seen yet.  This
+                "a MaxSatSolver is bound to the first builder it solves (its "
+                "solver permanently holds that formula's clauses); use a "
+                "fresh MaxSatSolver for a different instance")
+        # Feed the solver only the hard clauses it has not seen yet.  This
         # is ingestion, not search, so it does not spend the time budget.
-        self._loaded = builder.stream_hard(self.session, self._loaded)
+        self._stream()
         start = time.monotonic()
         base_assumptions = list(assumptions or [])
-        sat = self.session.solver
+        sat = self.session
 
         # Relax the soft clauses (budget-aware: large encodings can spend the
         # whole budget here, and the anytime contract must still hold).
@@ -213,6 +218,16 @@ class MaxSatSolver:
         return MaxSatResult(status, best_cost, best_model, sat_calls,
                             time.monotonic() - start)
 
+    @property
+    def clauses_streamed(self) -> int:
+        """Clauses fed to the solver: the builder's hard ones plus relaxations."""
+        return self._hard_streamed + self._relaxed
+
+    def _stream(self) -> None:
+        """Feed the solver the builder's hard clauses it does not hold yet."""
+        self._loaded = self.builder.stream_hard(self.session, self._loaded)
+        self._hard_streamed = self.builder.num_hard
+
     # ----------------------------------------------------------- relaxation
 
     def _prepare_selectors(self, start: float, time_budget: float | None) -> bool:
@@ -222,30 +237,24 @@ class MaxSatSolver:
         Selectors are prepared once and reused: a second call with the same
         soft clauses skips straight through.  Budget expiry keeps the
         selectors already built, so a later call resumes from where this one
-        stopped instead of re-relaxing (and duplicating) the prefix.
-        Relaxation clauses go straight to the session, never into the
-        builder: they are search scaffolding, not part of the instance, so
-        exports and clause counts stay faithful.
+        stopped instead of re-relaxing (and duplicating) the prefix.  Once
+        the bound structure covers the selectors the soft set is fixed: a
+        soft set that shrank, or grew after the bound was built, raises
+        ``ValueError``.  Relaxation clauses go straight to the solver, never
+        into the builder: they are search scaffolding, not part of the
+        instance, so exports and clause counts stay faithful.
         """
         builder = self.builder
-        session = self.session
+        sat = self.session
         progress = len(self._weighted_selectors)
         total = len(builder.soft)
         if progress == total:
             return True
-        if progress > total:
-            # The soft set shrank or was rewritten under a prepared search:
-            # rebuild the relaxation from scratch.  The old selectors and
-            # bound structure become inert (their outputs are never assumed
-            # again).
-            self._weighted_selectors = []
-            progress = 0
-        if self._totalizer is not None or self._gte is not None:
-            # The bound structure covered the old selector set; new soft
-            # clauses mean it no longer bounds the full objective.
-            self._totalizer = None
-            self._gte = None
-            self._bound_weights = []
+        if progress > total or self._totalizer is not None or self._gte is not None:
+            raise ValueError(
+                "the soft clauses of a solved builder cannot shrink, nor grow "
+                "once the bound is built; use a fresh MaxSatSolver for a "
+                "different objective")
         for index in range(progress, total):
             if (index - progress) % _SELECTOR_BUDGET_STRIDE == 0:
                 remaining = self._remaining(start, time_budget)
@@ -257,11 +266,12 @@ class MaxSatSolver:
                 # For unit soft clauses the negation of the literal is its own
                 # selector; no auxiliary variable or clause is needed.
                 selector = -soft.literals[0]
-                session.ensure_vars(abs(selector))
+                sat.ensure_vars(abs(selector))
             else:
                 selector = builder.new_var()
-                session.ensure_vars(builder.num_vars)
-                session.add_hard(soft.literals + [selector])
+                sat.ensure_vars(builder.num_vars)
+                sat.add_clause(soft.literals + [selector])
+                self._relaxed += 1
             self._weighted_selectors.append((selector, soft.weight))
         return True
 
@@ -271,7 +281,7 @@ class MaxSatSolver:
         Large weights are clustered so the generalized totalizer stays
         pseudo-polynomial in a small bound (Open-WBO-Inc's approximation).
         The structural clauses only *define* the output literals, so they are
-        sound to keep in a live session; the bounds themselves are assumed
+        sound to keep in a live solver; the bounds themselves are assumed
         per call.
         """
         if self._totalizer is not None or self._gte is not None:
@@ -293,8 +303,8 @@ class MaxSatSolver:
             self._totalizer = Totalizer(builder,
                                         [sel for sel, _ in weighted_selectors])
         # The totalizer clauses went into the builder; streaming them also
-        # declares its output variables to the session.
-        self._loaded = builder.stream_hard(self.session, self._loaded)
+        # declares its output variables to the solver.
+        self._stream()
 
     def _bound_assumptions(self, best_bound_cost: int) -> list[int]:
         """Assumption literals asserting "bound cost strictly below the best"."""

@@ -125,7 +125,7 @@ class WcnfBuilder:
         """Feed the hard clauses from word ``start`` on into ``target``.
 
         ``target`` is anything with ``ensure_vars`` and ``add_flat`` (a
-        session or a bare solver); it receives one ``add_flat`` call per
+        solver of either backend); it receives one ``add_flat`` call per
         stored segment.  Returns the end offset, which a caller passes back
         as ``start`` to feed only the clauses added since.
         """

@@ -8,11 +8,11 @@ restarts, assumption-based incremental solving, and DIMACS import/export.
 
 The public entry points are:
 
-* :class:`repro.sat.solver.SatSolver` -- the incremental CDCL solver.
+* :class:`repro.sat.solver.SatSolver` -- the incremental CDCL solver.  It
+  stays alive across ``solve()`` calls, keeping its learnt clauses, and takes
+  clauses one at a time (``add_clause``) or as flat buffers (``add_flat``,
+  :mod:`repro.sat.flat`).
 * :class:`repro.sat.solver.SolveResult` -- SAT/UNSAT/UNKNOWN outcome.
-* :class:`repro.sat.session.SatSession` -- a persistent solve session that
-  keeps one solver (and its learnt clauses) alive across calls; clauses
-  stream in one at a time or as flat buffers (:mod:`repro.sat.flat`).
 * :mod:`repro.sat.dimacs` -- reading and writing DIMACS CNF / WCNF files.
 * :mod:`repro.sat.preprocessing` -- clause-level simplification.
 * :mod:`repro.sat.enumeration` -- blocking-clause model enumeration.
@@ -31,7 +31,6 @@ from repro.sat.backends import (
     native_available,
     resolve_backend,
 )
-from repro.sat.session import SatSession, SessionStats
 from repro.sat.preprocessing import Preprocessor, PreprocessResult, simplify_clauses
 from repro.sat.enumeration import ModelEnumerator, all_models, count_models
 
@@ -39,8 +38,6 @@ __all__ = [
     "SatSolver",
     "SolveResult",
     "SolverStatus",
-    "SatSession",
-    "SessionStats",
     "available_backends",
     "create_solver",
     "describe_backends",

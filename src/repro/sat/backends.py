@@ -1,7 +1,6 @@
 """Solver-backend registry: pure-Python reference vs. compiled core.
 
-Two interchangeable CDCL implementations live behind
-:class:`~repro.sat.session.SatSession`:
+Two interchangeable CDCL implementations live behind :func:`create_solver`:
 
 * ``"python"`` — :class:`repro.sat.solver.SatSolver`, the always-available
   reference implementation;
@@ -21,7 +20,7 @@ Selection precedence, highest first:
 3. ``"auto"``.
 
 Both backends make the same verdicts, find the same optima through the
-MaxSAT strategies, and produce the same routing results; only solver-depth
+MaxSAT search, and produce the same routing results; only solver-depth
 counters (conflicts/decisions/...) may differ because the two cores take
 different search paths.  ``REPRO_SAT_CROSSCHECK=1`` additionally replays
 every native UNSAT verdict and final model through the pure-Python core

@@ -4,8 +4,8 @@ A flat buffer holds clauses back to back, each followed by a ``0``
 terminator -- the DIMACS body without the line breaks, e.g.
 ``array('i', [1, -2, 0, 3, 0])`` is the two clauses ``(1 | -2)`` and
 ``(3)``.  Encoders write whole constraint families into one such buffer,
-and a solver or :class:`~repro.sat.session.SatSession` ingests it through
-``add_flat``, so a family costs one call into the solve core instead of
+and a solver (either backend of :func:`repro.sat.create_solver`) ingests it
+through ``add_flat``, so a family costs one call into the solve core instead of
 one per clause.
 
 Buffers are checked once, as a whole, before any clause is ingested:

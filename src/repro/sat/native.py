@@ -19,9 +19,10 @@ the bytes the core hands back, one byte per variable.  Nothing is copied
 into a dict, so a model costs one C call whatever the variable count, and
 the MaxSAT layer keeps the best one by reference.
 
-Cross-checking (``REPRO_SAT_CROSSCHECK=1``) happens here rather than in
-:class:`~repro.sat.session.SatSession` because MaxSAT strategies add
-relaxation clauses directly through ``session.solver.add_clause``: the
+Cross-checking (``REPRO_SAT_CROSSCHECK=1``) happens here, in the solver
+itself, because every caller drives a solver directly: the MaxSAT search
+streams hard clauses through ``add_flat`` and adds relaxation clauses through
+``add_clause``, and OLSQ streams its encoding through ``add_flat`` too.  The
 wrapper records every ingested clause, evaluates each one under every SAT
 model, and replays UNSAT verdicts through a fresh pure-Python solver.  A
 disagreement raises :class:`CrossCheckError` — loudly, since it means one
@@ -165,6 +166,10 @@ class NativeSatSolver:
     def num_learnt(self) -> int:
         """Learnt clauses currently retained in the database."""
         return self._core.num_learnt
+
+    def solver_stats(self) -> dict:
+        """The cumulative depth counters, as a dict."""
+        return self.stats.as_dict()
 
     # --------------------------------------------------------------- search
 

@@ -14,7 +14,8 @@ index (watch lists), mirroring the layout of hardware and C solvers: variable
 ``v`` owns slots ``2v`` (positive literal) and ``2v + 1`` (negative literal)
 of the watch table.  The solver is designed to stay alive across ``solve()``
 calls -- learnt clauses, VSIDS activity, and saved phases all persist -- which
-is what :class:`repro.sat.session.SatSession` builds on.
+is what the MaxSAT search (:class:`repro.maxsat.solver.MaxSatSolver`) builds
+on: it keeps one solver alive for the whole life of an instance.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class SatSolver:
     unsat core over the assumptions when the instance is unsatisfiable.
     Learnt clauses and branching activity survive between calls, so a sequence
     of related solves (the MaxSAT refinement loop, slicing re-solves) gets
-    faster as the session warms up.
+    faster as the solver warms up.
     """
 
     def __init__(
@@ -680,3 +681,7 @@ class SatSolver:
     def num_learnt(self) -> int:
         """Learnt clauses currently retained in the database."""
         return self.database.num_learnt
+
+    def solver_stats(self) -> dict:
+        """The cumulative depth counters, as a dict."""
+        return self.stats.as_dict()

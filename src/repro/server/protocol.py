@@ -65,6 +65,11 @@ WIRE_VERSION = 1
 #: declared qubit, so a few-byte request must not be able to ask for more.
 MAX_WIRE_QUBITS = 1024
 
+#: Largest ``time_budget`` (seconds) a request may ask for, in the payload's
+#: ``time_budget`` field or in its router spec.  One request must not be
+#: able to hold a worker indefinitely.
+MAX_WIRE_TIME_BUDGET = 3600.0
+
 
 class ProtocolError(ValueError):
     """A malformed or unsupported request; maps to an HTTP 4xx response."""
@@ -216,6 +221,9 @@ def parse_submit(payload: Mapping,
         # Validate against the registry schema now (unknown routers raise a
         # KeyError subclass) so misconfigured requests fail at the door.
         spec = spec.validated()
+        if spec.options.get("time_budget", 0) > MAX_WIRE_TIME_BUDGET:
+            raise ValueError(f"time_budget is over the wire limit of "
+                             f"{MAX_WIRE_TIME_BUDGET:g} s")
     except (SpecError, KeyError, TypeError, ValueError) as error:
         message = error.args[0] if error.args else error
         raise ProtocolError(f"invalid router spec: {message}") from None

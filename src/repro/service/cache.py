@@ -142,7 +142,7 @@ def verify_cached_result(job: RoutingJob, result: RoutingResult) -> bool:
 
     Returns ``True`` only if the routed circuit is a valid routing of the
     job's circuit on the job's architecture *and* the recorded swap count
-    matches what the verifier counts.
+    equals what the verifier counts.
     """
     if not result.solved or result.routed_circuit is None:
         return False
@@ -161,9 +161,6 @@ class ResultCache:
     ----------
     directory:
         Where on-disk entries live; ``None`` keeps the cache memory-only.
-    verify_on_load:
-        Re-run the independent verifier on every entry read back from memory
-        or disk (default on; turning it off is only sensible in tests).
     max_bytes:
         Upper bound on the total serialised size of the store.  When a
         ``put`` pushes the store over the limit, least-recently-used entries
@@ -185,7 +182,6 @@ class ResultCache:
     """
 
     def __init__(self, directory: str | Path | None = None,
-                 verify_on_load: bool = True,
                  max_bytes: int | None = None,
                  owner: str | None = None) -> None:
         if max_bytes is not None and max_bytes <= 0:
@@ -193,7 +189,6 @@ class ResultCache:
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self.verify_on_load = verify_on_load
         self.max_bytes = max_bytes
         self.owner = owner
         self._lock = _DirectoryLock(self.directory)
@@ -334,7 +329,7 @@ class ResultCache:
             self.misses += 1
             self._evict(key)
             return None
-        if self.verify_on_load and not verify_cached_result(job, result):
+        if not verify_cached_result(job, result):
             self.rejected += 1
             self.misses += 1
             self._evict(key)

@@ -12,7 +12,7 @@ does not matter (display names, submission order).  Execution-time
 parameters that also shape the outcome, such as the per-job time budget of
 the anytime routers, are folded into the cache key by the service
 (``BatchRoutingService._key_job``), so cached results are only shared when
-the full execution config matches.
+the full execution config is the same.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ best-so-far result rather than nothing.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -60,9 +61,15 @@ def _default_slack() -> float:
     except ValueError:
         raise ValueError(
             f"REPRO_POOL_SLACK must be a number, got {raw!r}") from None
-    if slack < 0:
-        raise ValueError(f"REPRO_POOL_SLACK must be >= 0, got {slack}")
-    return slack
+    return _checked_slack(slack, "REPRO_POOL_SLACK")
+
+
+def _checked_slack(slack: float, name: str) -> float:
+    """``slack`` as a float; a negative, NaN or infinite slack is refused."""
+    if not math.isfinite(slack) or slack < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {slack}")
+    return float(slack)
+
 
 #: Notes markers stamped on results that were produced by the fallback
 #: router instead of the one the job asked for.  The service uses
@@ -210,9 +217,7 @@ class WorkerPool:
             slack = _default_slack()
         elif not isinstance(slack, (int, float)) or isinstance(slack, bool):
             raise ValueError(f"slack must be a number, got {slack!r}")
-        elif slack < 0:
-            raise ValueError(f"slack must be >= 0, got {slack}")
-        self.slack = float(slack)
+        self.slack = _checked_slack(slack, "slack")
         cpus = os.cpu_count() or 1
         self.max_workers = max(1, max_workers if max_workers is not None else cpus)
         self.fallback = fallback

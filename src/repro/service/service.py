@@ -23,6 +23,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 import time
 from pathlib import Path
 
@@ -99,8 +100,8 @@ class BatchRoutingService:
         tracer: obs_trace.Tracer | bool | None = None,
         trace_dir: str | Path | None = None,
     ) -> None:
-        if time_budget <= 0:
-            raise ValueError("time_budget must be positive")
+        if not 0 < time_budget < math.inf:
+            raise ValueError("time_budget must be positive and finite")
         self.time_budget = time_budget
         if cache is False:
             self.cache: ResultCache | None = None

@@ -79,6 +79,8 @@ CASES = [
     ("architecture over the qubit limit", wire_architecture_submit(
         protocol.MAX_WIRE_QUBITS + 1, [[0, 1], [1, 2], [2, 3]]), 400),
     ("NaN wire budget", router_submit(ROUTER, float("nan")), 400),
+    ("wire budget over the limit", router_submit(
+        ROUTER, protocol.MAX_WIRE_TIME_BUDGET * 2), 400),
     ("swaps_per_gate=0", router_submit("satmap:swaps_per_gate=0"), 400),
     ("wait=-inf", request_bytes("GET", "/v1/jobs/{job}?wait=-inf"), 200),
     ("wait=nan", request_bytes("GET", "/v1/jobs/{job}?wait=nan"), 200),

@@ -28,7 +28,6 @@ from repro.hardware.topologies import line_architecture, reduced_tokyo_architect
 from repro.maxsat import MaxSatSolver
 from repro.sat.backends import native_available
 from repro.sat.dimacs import write_wcnf
-from repro.sat.session import SatSession
 
 from test_encoding_golden import CASES, GOLDEN, encoding_digest
 
@@ -104,14 +103,14 @@ class TestColdAndWarm:
             cold.initial_mapping_assumptions(pin)
         outcomes = []
         for encoding in (cold, warm):
-            session = SatSession(backend=backend)
-            result = MaxSatSolver(session=session).solve(
+            maxsat = MaxSatSolver(backend=backend)
+            result = maxsat.solve(
                 encoding.builder, time_budget=60, assumptions=assumptions)
             solution = (extract_solution(encoding, result.model)
                         if result.has_model else None)
             outcomes.append((result.status, result.cost, dict(result.model),
-                             solution, session.solver_stats(),
-                             session.solver.export_clauses()))
+                             solution, maxsat.session.solver_stats(),
+                             maxsat.session.export_clauses()))
         assert outcomes[0] == outcomes[1]
 
 
@@ -175,7 +174,7 @@ class TestByteBackedModels:
         architecture = reduced_tokyo_architecture(8)
         encoding = QmrEncoder(architecture, EncodingOptions(**options)) \
             .encode_interactions([(0, 1), (2, 3), (0, 3), (1, 4), (2, 4)], 5)
-        result = MaxSatSolver(session=SatSession(backend="native")).solve(
+        result = MaxSatSolver(backend="native").solve(
             encoding.builder, time_budget=60)
         assert result.has_model
         return encoding, result.model

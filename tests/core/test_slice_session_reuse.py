@@ -26,8 +26,8 @@ class TestMonolithicContextReuse:
         outcome = router.solve_monolithic(circuit, arch, 30)
         assert outcome.result.solved
         assert outcome.context is not None
-        assert outcome.context.maxsat.session.stats.clauses_streamed > 0
-        assert outcome.context.solves == 1
+        assert outcome.context.maxsat.clauses_streamed > 0
+        assert outcome.context.circuit is circuit
 
     def test_exclusion_resolve_reuses_the_context(self):
         circuit = random_circuit(4, 8, seed=5)
@@ -41,7 +41,6 @@ class TestMonolithicContextReuse:
             context=first.context)
         assert second.result.solved
         assert second.context is first.context
-        assert second.context.solves == 2
         assert second.result.final_mapping != first.result.final_mapping
         verify_routing(circuit, second.result.routed_circuit,
                        second.result.initial_mapping, arch)
@@ -62,7 +61,7 @@ class TestMonolithicContextReuse:
             circuit, arch, 30, excluded_final_mappings=excluded)
         assert reused.context is first.context
         assert fresh.context is not first.context
-        assert fresh.context.solves == 1
+        assert fresh.context.maxsat is not first.context.maxsat
         assert reused.result.optimal and fresh.result.optimal
         assert reused.result.swap_count == fresh.result.swap_count
 

@@ -1,17 +1,19 @@
 """Incremental-equivalence tests for the MaxSAT layer.
 
-Reusing one session (one live CDCL solver, streamed clauses,
+Reusing one MaxSatSolver (one live CDCL solver, streamed clauses,
 assumption-expressed bounds) must return the same costs and verdicts as
-solving on a fresh session, on randomized WCNF instances -- including when
-one session serves several solves, which is what the slicing relaxation
-does on a backtrack.
+solving on a fresh one, on randomized WCNF instances -- including when one
+solver serves several solves, which is what the slicing relaxation does on
+a backtrack.
 """
 
 import random
 
+import pytest
+
 from repro.maxsat.solver import MaxSatSolver, MaxSatStatus
 from repro.maxsat.wcnf import WcnfBuilder
-from repro.sat import SatSession
+from repro.sat.backends import native_available
 
 
 def random_wcnf(rng: random.Random, weighted: bool) -> WcnfBuilder:
@@ -48,9 +50,9 @@ class TestSessionMatchesFromScratch:
             weighted = seed % 2 == 0
             reference = random_wcnf(rng, weighted)
             scratch = MaxSatSolver().solve(clone(reference))
-            # A second run on the warm session reuses the selectors, the
+            # A second run on the warm solver reuses the selectors, the
             # bound structure and everything the first run learnt.
-            warm = MaxSatSolver(session=SatSession())
+            warm = MaxSatSolver()
             builder = clone(reference)
             warm.solve(builder)
             incremental = warm.solve(builder)
@@ -65,7 +67,7 @@ class TestSessionMatchesFromScratch:
             rng = random.Random(900 + seed)
             reference = random_wcnf(rng, weighted=False)
             scratch = MaxSatSolver().solve(clone(reference))
-            solver = MaxSatSolver(session=SatSession())
+            solver = MaxSatSolver()
             builder = clone(reference)
             solver.solve(builder, assumptions=[1, -2])
             incremental = solver.solve(builder)
@@ -74,15 +76,14 @@ class TestSessionMatchesFromScratch:
                 assert scratch.cost == incremental.cost, f"seed {seed}"
 
     def test_session_reuse_across_repeated_solves(self):
-        """Re-solving on one warm session matches a fresh from-scratch solve."""
+        """Re-solving on one warm solver matches a fresh from-scratch solve."""
         for seed in range(10):
             rng = random.Random(4000 + seed)
             reference = random_wcnf(rng, weighted=seed % 2 == 0)
-            session = SatSession()
-            solver = MaxSatSolver(session=session)
+            solver = MaxSatSolver()
             builder = clone(reference)
             first = solver.solve(builder)
-            second = solver.solve(builder)  # same instance, warm session
+            second = solver.solve(builder)  # same instance, warm solver
             scratch = MaxSatSolver().solve(clone(reference))
             assert first.status is scratch.status, f"seed {seed}"
             assert second.status is scratch.status, f"seed {seed}"
@@ -101,7 +102,7 @@ class TestSessionMatchesFromScratch:
             for literal in pin:
                 hard_pinned.add_hard([literal])
             scratch = MaxSatSolver().solve(hard_pinned)
-            incremental = MaxSatSolver(session=SatSession()).solve(
+            incremental = MaxSatSolver().solve(
                 clone(reference), assumptions=pin)
             assert scratch.status is incremental.status, f"seed {seed} pin {pin}"
             if scratch.has_model:
@@ -112,8 +113,7 @@ class TestSessionMatchesFromScratch:
         for seed in range(6):
             rng = random.Random(6000 + seed)
             reference = random_wcnf(rng, weighted=False)
-            session = SatSession()
-            solver = MaxSatSolver(session=session)
+            solver = MaxSatSolver()
             builder = clone(reference)
             first = solver.solve(builder)
             if not first.has_model:
@@ -133,10 +133,7 @@ class TestSessionMatchesFromScratch:
 
 class TestSessionBinding:
     def test_session_backed_facade_rejects_a_second_builder(self):
-        import pytest
-
-        session = SatSession()
-        solver = MaxSatSolver(session=session)
+        solver = MaxSatSolver()
         first = WcnfBuilder()
         a = first.new_var()
         first.add_hard([a])
@@ -157,10 +154,10 @@ class TestStreamingFromTheBuilder:
         builder.add_hard([-1, 3])
         builder.add_soft([-2])
         builder.add_soft([-3])
-        session = SatSession()
-        solver = MaxSatSolver(session=session)
+        solver = MaxSatSolver()
         assert solver.solve(builder).cost == 1
-        streamed = session.stats.clauses_streamed
+        streamed = solver.clauses_streamed
+        session = solver.session
         buffers = []
         original = session.add_flat
 
@@ -172,7 +169,7 @@ class TestStreamingFromTheBuilder:
         builder.add_hard([-1])
         second = solver.solve(builder)
         assert buffers == [[-1, 0]]
-        assert session.stats.clauses_streamed == streamed + 1
+        assert solver.clauses_streamed == streamed + 1
         assert second.is_optimal and second.model[1] is False
 
 
@@ -196,11 +193,60 @@ class TestBudgetInsideSelectorConstruction:
         builder.add_hard([variables[0]])
         for v in variables[1:]:
             builder.add_soft([v], weight=1)
-        session = SatSession()
-        solver = MaxSatSolver(session=session)
+        solver = MaxSatSolver()
         dead = solver.solve(builder, time_budget=0.0)
         assert not dead.has_model
-        # A later call with a real budget still works on the same session.
+        # A later call with a real budget still works on the same solver.
         alive = solver.solve(builder)
         assert alive.is_optimal
         assert alive.cost == 0
+
+
+def weighted_pair() -> WcnfBuilder:
+    """Two conflicting soft clauses: one unit, one binary (cost 1)."""
+    builder = WcnfBuilder()
+    builder.new_vars(3)
+    builder.add_hard([-1, -2])
+    builder.add_soft([1])
+    builder.add_soft([2, 3])
+    builder.add_soft([-3])
+    return builder
+
+
+class TestSoftSetIsFixedOnceBounded:
+    def test_a_soft_clause_added_after_the_bound_is_rejected(self):
+        builder = weighted_pair()
+        solver = MaxSatSolver()
+        assert solver.solve(builder).cost == 1
+        builder.add_soft([-1])
+        with pytest.raises(ValueError, match="soft clauses"):
+            solver.solve(builder)
+
+    def test_a_shrunk_soft_set_is_rejected(self):
+        builder = weighted_pair()
+        solver = MaxSatSolver()
+        assert solver.solve(builder).cost == 1
+        builder.soft.pop()
+        with pytest.raises(ValueError, match="soft clauses"):
+            solver.solve(builder)
+
+
+@pytest.mark.parametrize("backend", [
+    "python",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not native_available(), reason="compiled SAT core not built")),
+])
+def test_clauses_streamed_counts_hard_clauses_and_relaxations(backend):
+    builder = weighted_pair()
+    solver = MaxSatSolver(backend=backend)
+    assert solver.clauses_streamed == 0
+    assert solver.solve(builder).cost == 1
+    # Every hard clause of the builder (the instance's one plus the
+    # totalizer's) and one relaxation clause for the one binary soft clause.
+    assert solver.clauses_streamed == builder.num_hard + 1
+    builder.add_hard([3])
+    solver.solve(builder)
+    assert solver.clauses_streamed == builder.num_hard + 1
+    sat = solver.session
+    assert sat.solver_stats() == sat.stats.as_dict()
+    assert sat.solver_stats()["backend"] == backend

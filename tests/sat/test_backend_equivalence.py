@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.maxsat import MaxSatSolver, MaxSatStatus, WcnfBuilder
-from repro.sat import SatSession, SatSolver
+from repro.sat import SatSolver
 from repro.sat.backends import (
     BACKEND_ENV,
     CROSSCHECK_ENV,
@@ -58,9 +58,9 @@ class TestVerdictEquivalence:
             clauses = random_cnf(rng, rng.randint(4, 18), rng.randint(6, 70))
             verdicts = {}
             for backend in ("python", "native"):
-                session = SatSession(backend=backend)
+                session = create_solver(backend)
                 for clause in clauses:
-                    session.add_hard(clause)
+                    session.add_clause(clause)
                 result = session.solve()
                 verdicts[backend] = result.is_sat
                 if result.is_sat:
@@ -77,9 +77,9 @@ class TestVerdictEquivalence:
                                                rng.randint(1, 3))]
             outcomes = {}
             for backend in ("python", "native"):
-                session = SatSession(backend=backend)
+                session = create_solver(backend)
                 for clause in clauses:
-                    session.add_hard(clause)
+                    session.add_clause(clause)
                 result = session.solve(assumptions=assumptions)
                 outcomes[backend] = result.is_sat
                 if result.is_sat:
@@ -94,15 +94,15 @@ class TestVerdictEquivalence:
     def test_incremental_growth_stays_equivalent(self):
         """Interleaved add/solve -- the incremental path both cores share."""
         rng = random.Random(2203)
-        python = SatSession(backend="python")
-        native = SatSession(backend="native")
+        python = create_solver("python")
+        native = create_solver("native")
         clauses: list[list[int]] = []
         for _ in range(12):
             batch = random_cnf(rng, 12, rng.randint(3, 10))
             clauses.extend(batch)
             for clause in batch:
-                python.add_hard(clause)
-                native.add_hard(clause)
+                python.add_clause(clause)
+                native.add_clause(clause)
             p, n = python.solve(), native.solve()
             assert p.is_sat == n.is_sat
             if n.is_sat:
@@ -145,7 +145,7 @@ class TestOptimaEquivalence:
             num_vars, hard, soft = self._random_wcnf(rng, max_weight)
             outcomes = {}
             for backend in ("python", "native"):
-                solver = MaxSatSolver(session=SatSession(backend=backend))
+                solver = MaxSatSolver(backend=backend)
                 result = solver.solve(self._build(num_vars, hard, soft))
                 outcomes[backend] = (result.status, result.cost)
             assert outcomes["python"] == outcomes["native"], (hard, soft)
@@ -208,9 +208,9 @@ class TestBackendResolution:
         monkeypatch.setenv(BACKEND_ENV, "python")
         assert resolve_backend() == "python"
         assert resolve_backend("auto") == "python"
-        session = SatSession()
-        assert session.backend == "python"
-        assert isinstance(session.solver, SatSolver)
+        session = create_solver()
+        assert session.stats.backend == "python"
+        assert isinstance(session, SatSolver)
 
     def test_unknown_names_are_rejected(self):
         with pytest.raises(ValueError):
@@ -223,11 +223,11 @@ class TestBackendResolution:
         assert not native_available()
         assert available_backends() == ["python"]
         assert resolve_backend() == "python"
-        session = SatSession()
-        assert session.backend == "python"
-        assert isinstance(session.solver, SatSolver)
-        session.add_hard([1, 2])
-        session.add_hard([-1])
+        session = create_solver()
+        assert session.stats.backend == "python"
+        assert isinstance(session, SatSolver)
+        session.add_clause([1, 2])
+        session.add_clause([-1])
         result = session.solve()
         assert result.is_sat and result.model[2] is True
         assert session.solver_stats()["backend"] == "python"
@@ -238,7 +238,9 @@ class TestBackendResolution:
         with pytest.raises(RuntimeError, match="native"):
             resolve_backend("native")
         with pytest.raises(RuntimeError, match="native"):
-            SatSession(backend="native")
+            create_solver("native")
+        with pytest.raises(RuntimeError, match="native"):
+            MaxSatSolver(backend="native")
 
     @needs_native
     def test_auto_prefers_native_when_available(self, monkeypatch):
@@ -267,9 +269,9 @@ class TestCrossCheck:
         saw_sat = saw_unsat = False
         for _ in range(20):
             clauses = random_cnf(rng, rng.randint(4, 12), rng.randint(6, 45))
-            session = SatSession(backend="native")
+            session = create_solver("native")
             for clause in clauses:
-                session.add_hard(clause)
+                session.add_clause(clause)
             result = session.solve()  # CrossCheckError on any divergence
             saw_sat |= result.is_sat
             saw_unsat |= not result.is_sat
@@ -277,8 +279,8 @@ class TestCrossCheck:
 
     def test_crosscheck_covers_assumption_cores(self, monkeypatch):
         monkeypatch.setenv(CROSSCHECK_ENV, "1")
-        session = SatSession(backend="native")
-        session.add_hard([-1, -2])
+        session = create_solver("native")
+        session.add_clause([-1, -2])
         result = session.solve(assumptions=[1, 2])
         assert not result.is_sat
         assert set(map(abs, result.core)) <= {1, 2}

@@ -1,7 +1,7 @@
-"""Tests for persistent solve sessions (repro.sat.session).
+"""Tests for one long-lived solver reused across solve calls.
 
-The heart of the incremental refactor is an equivalence claim: solving
-through one long-lived session must return the same SAT/UNSAT verdicts as
+The heart of the incremental solve path is an equivalence claim: solving
+through one long-lived solver must return the same SAT/UNSAT verdicts as
 solving every instance from scratch.  These tests check that claim
 property-style on randomized CNF instances, plus the core-extraction
 behaviour the MaxSAT layer depends on.
@@ -9,7 +9,7 @@ behaviour the MaxSAT layer depends on.
 
 import random
 
-from repro.sat import SatSession, SatSolver
+from repro.sat import SatSolver, create_solver
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> list[list[int]]:
@@ -24,32 +24,32 @@ def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> list[list
 
 class TestSessionBasics:
     def test_streams_and_solves(self):
-        session = SatSession()
-        session.add_hard([1, 2])
-        session.add_hard([-1, 2])
+        session = create_solver()
+        session.add_clause([1, 2])
+        session.add_clause([-1, 2])
         result = session.solve()
         assert result.is_sat and result.model[2] is True
-        assert session.stats.clauses_streamed == 2
+        assert session.num_clauses() == 2
 
     def test_solver_survives_across_calls(self):
-        session = SatSession()
-        session.add_hard([1, 2])
+        session = create_solver()
+        session.add_clause([1, 2])
         assert session.solve().is_sat
-        solver_before = session.solver
-        session.add_hard([-1])
-        assert session.solve().is_sat
-        assert session.solver is solver_before
+        session.add_clause([-1])
+        result = session.solve()
+        # The second call still holds the first call's clause.
+        assert result.is_sat and result.model[2] is True
 
     def test_learnt_clauses_are_retained(self):
         rng = random.Random(11)
-        session = SatSession()
+        session = create_solver()
         for clause in random_cnf(rng, 30, 140):
-            session.add_hard(clause)
+            session.add_clause(clause)
         session.solve()
         # A second solve keeps whatever the first one learnt.
-        learnt = session.learnt_clauses_retained
+        learnt = session.num_learnt()
         session.solve(assumptions=[1])
-        assert session.learnt_clauses_retained >= learnt >= 0
+        assert session.num_learnt() >= learnt >= 0
 
 class TestSessionEquivalence:
     """Session-reuse verdicts == from-scratch verdicts on random CNF."""
@@ -58,7 +58,7 @@ class TestSessionEquivalence:
         for seed in range(12):
             rng = random.Random(1000 + seed)
             clauses = random_cnf(rng, rng.randint(5, 14), rng.randint(10, 50))
-            session = SatSession()
+            session = create_solver()
             # Feed the instance in chunks, solving between chunks (the session
             # path), and compare every verdict with a fresh solver built from
             # the clauses streamed so far (the from-scratch path).
@@ -66,7 +66,7 @@ class TestSessionEquivalence:
             chunk = max(1, len(clauses) // 4)
             for start in range(0, len(clauses), chunk):
                 for clause in clauses[start:start + chunk]:
-                    session.add_hard(clause)
+                    session.add_clause(clause)
                     streamed.append(clause)
                 fresh = SatSolver()
                 for clause in streamed:
@@ -85,9 +85,9 @@ class TestSessionEquivalence:
                  for v in rng.sample(range(1, num_vars + 1), rng.randint(1, 3))]
                 for _ in range(4)
             ]
-            session = SatSession()
+            session = create_solver()
             for clause in clauses:
-                session.add_hard(clause)
+                session.add_clause(clause)
             for assumptions in assumption_sets:
                 fresh = SatSolver()
                 for clause in clauses:
@@ -103,19 +103,19 @@ class TestSessionEquivalence:
 
 
 class TestUnsatCoreStability:
-    def _pigeonhole_session(self) -> tuple[SatSession, list[int]]:
+    def _pigeonhole_session(self) -> tuple[SatSolver, list[int]]:
         """Three pigeons, two holes, selectable per-pigeon placement duty."""
-        session = SatSession()
+        session = create_solver()
         # var(p, h) = 1 + 2p + h ; selector s_p = 7 + p enables pigeon p.
         def var(p, h):
             return 1 + 2 * p + h
         selectors = [7 + p for p in range(3)]
         for p in range(3):
-            session.add_hard([-selectors[p], var(p, 0), var(p, 1)])
+            session.add_clause([-selectors[p], var(p, 0), var(p, 1)])
         for h in range(2):
             for p1 in range(3):
                 for p2 in range(p1 + 1, 3):
-                    session.add_hard([-var(p1, h), -var(p2, h)])
+                    session.add_clause([-var(p1, h), -var(p2, h)])
         return session, selectors
 
     def test_core_is_stable_across_successive_calls(self):

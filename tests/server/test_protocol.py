@@ -86,12 +86,19 @@ class TestSubmitRoundTrip:
                                           time_budget=7.0)
         job = protocol.parse_submit(payload, catalog)
         assert job.options["time_budget"] == 7.0
+        limit = protocol.MAX_WIRE_TIME_BUDGET
+        payload = protocol.submit_payload(circuit, "line4", router="sabre",
+                                          time_budget=limit)
+        assert protocol.parse_submit(payload, catalog).options["time_budget"] \
+            == limit
 
     @pytest.mark.parametrize("router, time_budget", [
         ("satmap", float("nan")),
         ("satmap", float("inf")),
         ("satmap:time_budget=inf", None),
         ("satmap:time_budget=nan", None),
+        ("satmap", 1e9),
+        ("satmap:time_budget=1e9", None),
         ("satmap:swaps_per_gate=0", None),
         ("nl-satmap:swaps_per_gate=-3", None),
         ("cyclic:swaps_per_gate=0", None),

@@ -34,3 +34,36 @@ class TestPoolSlack:
             WorkerPool(mode="serial", slack=-3)
         with pytest.raises(ValueError, match="slack"):
             WorkerPool(mode="serial", slack=True)
+
+
+def _service(value, monkeypatch):
+    from repro.service import BatchRoutingService
+
+    BatchRoutingService(mode="serial", cache=False, time_budget=value)
+
+
+def _fleet_config(value, monkeypatch):
+    from repro.cluster import FleetConfig
+
+    FleetConfig(time_budget=value)
+
+
+def _pool_slack(value, monkeypatch):
+    WorkerPool(mode="serial", slack=value)
+
+
+def _env_slack(value, monkeypatch):
+    monkeypatch.setenv("REPRO_POOL_SLACK", str(value))
+    WorkerPool(mode="serial")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("build", [_service, _fleet_config, _pool_slack,
+                                   _env_slack],
+                         ids=["service-budget", "fleet-budget", "pool-slack",
+                              "env-slack"])
+def test_non_finite_operator_values_are_rejected(build, value, monkeypatch):
+    """A NaN or infinite budget or slack would make every deadline NaN/inf."""
+    with pytest.raises(ValueError, match="finite"):
+        build(value, monkeypatch)
