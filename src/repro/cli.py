@@ -505,71 +505,11 @@ def command_batch(args: argparse.Namespace) -> int:
         return 0 if solved == len(jobs) else 2
 
 
-def command_serve(args: argparse.Namespace) -> int:
-    import asyncio
+def serve_config(args: argparse.Namespace):
+    """The :class:`~repro.cluster.FleetConfig` ``repro serve`` flags describe."""
+    from repro.cluster import FleetConfig
 
-    from repro.server import AdmissionController, RoutingGateway, serve
-
-    _apply_solver_backend(args)
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
-        print("error: --trace-sample must be in [0, 1]", file=sys.stderr)
-        return 2
-    max_bytes = (int(args.cache_max_mb * 1024 * 1024)
-                 if args.cache_max_mb else None)
-    if args.workers > 1:
-        return _serve_fleet(args, max_bytes)
-    service = BatchRoutingService(
-        max_workers=args.pool_workers,
-        mode=args.mode,
-        time_budget=args.time_budget,
-        cache=False if args.no_cache else None,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        cache_max_bytes=max_bytes,
-        portfolio=args.portfolio or None,
-    )
-    admission = AdmissionController(rate=args.rate, burst=args.burst,
-                                    max_pending=args.max_pending)
-    sampler = None
-    if args.trace_sample is not None or args.slow_trace_ms is not None:
-        from repro.obs.sampling import TailSampler
-
-        sampler = TailSampler(
-            rate=args.trace_sample if args.trace_sample is not None else 1.0,
-            slow_threshold=(args.slow_trace_ms / 1000.0
-                            if args.slow_trace_ms is not None else None))
-    gateway = RoutingGateway(service=service, host=args.host, port=args.port,
-                             admission=admission,
-                             time_budget=args.time_budget,
-                             trace_dir=args.trace_dir,
-                             events_dir=args.events_dir,
-                             slo=tuple(args.slo or ()),
-                             sampler=sampler)
-
-    def announce(started: RoutingGateway) -> None:
-        print(f"repro gateway listening on {started.url} "
-              f"(budget {args.time_budget}s, rate {args.rate}/s, "
-              f"burst {args.burst:g}, backlog {args.max_pending})")
-        print("SIGTERM or ^C drains in-flight jobs before exiting")
-
-    try:
-        asyncio.run(serve(gateway, on_started=announce))
-    finally:
-        service.close()
-    print(service.summary())
-    return 0
-
-
-def _serve_fleet(args: argparse.Namespace, max_bytes: int | None) -> int:
-    """``repro serve --workers N`` for N > 1: the sharded dispatcher fleet."""
-    import asyncio
-
-    from repro.cluster import ClusterDispatcher, FleetConfig
-    from repro.server import serve
-
-    config = FleetConfig(
+    return FleetConfig(
         workers=args.workers,
         host=args.host,
         port=args.port,
@@ -577,7 +517,8 @@ def _serve_fleet(args: argparse.Namespace, max_bytes: int | None) -> int:
         pool_workers=args.pool_workers,
         pool_mode=args.mode,
         cache_dir=None if args.no_cache else str(args.cache_dir),
-        cache_max_bytes=max_bytes,
+        cache_max_bytes=(int(args.cache_max_mb * 1024 * 1024)
+                         if args.cache_max_mb else None),
         portfolio=args.portfolio or None,
         rate=args.rate,
         burst=args.burst,
@@ -590,19 +531,51 @@ def _serve_fleet(args: argparse.Namespace, max_bytes: int | None) -> int:
                             if args.slow_trace_ms is not None else None),
         solver_backend=args.solver_backend,
     )
+
+
+def command_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: one gateway, or a dispatcher over N shard workers."""
+    import asyncio
+
+    from repro.cluster import ClusterDispatcher
+    from repro.cluster.worker import build_worker_gateway
+    from repro.server import serve
+
+    _apply_solver_backend(args)
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
+    if args.trace_sample is not None and not 0.0 <= args.trace_sample <= 1.0:
+        print("error: --trace-sample must be in [0, 1]", file=sys.stderr)
+        return 2
+    config = serve_config(args)
+    limits = (f"budget {config.time_budget}s, rate {config.rate}/s, "
+              f"burst {config.burst:g}, backlog {config.max_pending}")
+    if config.workers == 1:
+        gateway = build_worker_gateway(config)
+
+        def announce_gateway(started) -> None:
+            print(f"repro gateway listening on {started.url} ({limits})")
+            print("SIGTERM or ^C drains in-flight jobs before exiting")
+
+        try:
+            asyncio.run(serve(gateway, on_started=announce_gateway))
+        finally:
+            gateway.service.close()
+        print(gateway.service.summary())
+        return 0
     dispatcher = ClusterDispatcher(config)
 
-    def announce(started: ClusterDispatcher) -> None:
+    def announce_fleet(started: ClusterDispatcher) -> None:
         shards = ", ".join(
             f"{worker['shard']}:{worker['port']}"
             for worker in started._fleet_section()["worker_detail"])
         print(f"repro fleet dispatcher listening on {started.url} "
               f"({config.workers} shard workers: {shards})")
-        print(f"budget {config.time_budget}s, rate {config.rate}/s, "
-              f"burst {config.burst:g}, backlog {config.max_pending}")
+        print(limits)
         print("SIGTERM or ^C drains every worker before exiting")
 
-    asyncio.run(serve(dispatcher, on_started=announce))
+    asyncio.run(serve(dispatcher, on_started=announce_fleet))
     counters = dispatcher.counters
     print(f"fleet served {counters['requests']} requests, dispatched "
           f"{counters['dispatched']} submissions, restarted "

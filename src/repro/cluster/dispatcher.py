@@ -19,14 +19,16 @@ Beyond routing, the dispatcher is the fleet's control plane:
   resumes its key range and re-serves finished work from the shared disk
   cache.  A worker that keeps dying past ``max_restarts`` is cut from the
   ring and its range flows to the survivors.
-* **Aggregation** -- ``/v1/stats`` and ``/metrics`` merge every shard's
-  view into fleet totals plus per-shard ``{shard="k"}`` labelled series,
-  alongside the dispatcher's own ``repro_cluster_*`` instruments.
-  Mirrored per-shard counters go through a monotone fold so a worker
-  restart (which resets its in-process counters) never makes a scraped
-  counter regress.  ``/v1/slo`` merges every shard's windowed CDFs into
-  true fleet quantiles, ``/v1/events`` serves the dispatcher's own
-  control-plane event stream (restarts, disables, drains), and
+* **Aggregation** -- the dispatcher's own counters are
+  ``repro_cluster_*`` registry instruments from birth, and its
+  ``/v1/stats`` ``dispatcher`` section and ``/metrics`` read the same
+  ones.  Both merge every shard's view: ``/v1/stats`` into fleet totals,
+  ``/metrics`` into per-shard ``{shard="k"}`` mirrors (HELP text from the
+  gateway's declaration table) that go through a monotone fold, so a
+  worker restart (which resets its in-process counters) never makes a
+  scraped counter regress.  ``/v1/slo`` merges every shard's windowed
+  CDFs into true fleet quantiles, ``/v1/events`` serves the dispatcher's
+  own control-plane event stream (restarts, disables, drains), and
   ``POST /v1/admin/profile`` profiles one shard (``?shard=K``) or the
   dispatcher plus every live worker concurrently.
 * **Drain** -- ``/v1/admin/drain`` (or SIGTERM via
@@ -63,6 +65,7 @@ from repro.obs.slo import merge_slo_statuses, mirror_slo
 from repro.obs.trace import render_trace
 from repro.server import http, protocol
 from repro.server.admission import AdmissionController
+from repro.server.app import CACHE_COUNTERS, RoutingGateway
 from repro.server.http import HttpFront, Request, ServerThread
 from repro.service import BatchRoutingService
 
@@ -88,10 +91,21 @@ class DispatchRecord:
 class ClusterDispatcher(HttpFront):
     """Front-end dispatcher for a sharded gateway fleet (see module doc)."""
 
+    METRIC_PREFIX = "repro_cluster"
+    COUNTERS = {
+        **HttpFront.COUNTERS,
+        "dispatched": "Submissions routed to a shard worker, by shard",
+        "retried": "Proxy attempts repeated after a shard connection failure",
+        "proxy_failures": "Proxied requests whose shard stayed unreachable",
+        "worker_restarts": "Shard worker restarts attempted by the health "
+                           "sweep, by shard",
+    }
+
     def __init__(self, config: FleetConfig,
                  admission: AdmissionController | None = None,
                  architectures: dict | None = None) -> None:
-        super().__init__(config.host, config.port)
+        super().__init__(config.host, config.port, MetricsRegistry(),
+                         workers=str(config.workers))
         self.config = config
         self.ring = HashRing(config.shard_ids(),
                              replicas=config.ring_replicas)
@@ -109,26 +123,10 @@ class ClusterDispatcher(HttpFront):
         self._keyer = BatchRoutingService(
             time_budget=config.time_budget, portfolio=config.portfolio,
             cache=False, tracer=False)
-        self.metrics = MetricsRegistry()
-        self._dispatched = self.metrics.counter(
-            "repro_cluster_dispatched_total",
-            "Submissions routed to a shard worker, by shard")
-        self._retried = self.metrics.counter(
-            "repro_cluster_retried_total",
-            "Proxy attempts repeated after a shard connection failure")
-        self._restarts_counter = self.metrics.counter(
-            "repro_cluster_worker_restarts_total",
-            "Crashed shard workers restarted by the health sweep")
-        self.counters = {
-            "requests": 0,
-            "dispatched": 0,
-            "retried": 0,
-            "rejected": 0,
-            "rejected_draining": 0,
-            "bad_requests": 0,
-            "proxy_failures": 0,
-            "worker_restarts": 0,
-        }
+        #: Admission refusals, read from the controller at scrape time.
+        self._rejected = self.metrics.counter(
+            "repro_cluster_rejected_total",
+            "Submissions refused by the fleet admission controller")
         self._dispatch_log: OrderedDict[str, DispatchRecord] = OrderedDict()
         #: The dispatcher's own operational narrative: restarts, disables,
         #: drains.  Shares the fleet's events directory when one is set.
@@ -141,7 +139,6 @@ class ClusterDispatcher(HttpFront):
         #: rate()-style consumer.  Instead the pre-restart total is folded
         #: into the base, so the mirrored series never regresses.
         self._monotone: dict[tuple[str, str], tuple[float, float]] = {}
-        self._open_jobs = 0  # fleet-wide estimate, resynced by the sweep
         self._health_task: asyncio.Task | None = None
         self._restarting: set[int] = set()
         self._disabled: set[int] = set()
@@ -223,17 +220,16 @@ class ClusterDispatcher(HttpFront):
                     if handle.restarts >= self.config.max_restarts:
                         self._disable_shard(shard)
                         continue
+                    # Every attempt counts, whether or not the worker comes
+                    # back up.
+                    self._counters["worker_restarts"].inc(shard=str(shard))
                     await loop.run_in_executor(None, handle.restart)
-                    self.counters["worker_restarts"] += 1
-                    self._restarts_counter.inc(shard=str(shard))
                     self.event_log.emit("worker-restart", level="warning",
                                         shard=shard, pid=handle.pid,
                                         restarts=handle.restarts)
                 except Exception as error:
-                    # Startup itself failed; count the attempt and let the
-                    # next sweep retry (or give up past max_restarts).
-                    self.counters["worker_restarts"] += 1
-                    self._restarts_counter.inc(shard=str(shard))
+                    # Startup itself failed; the next sweep retries (or gives
+                    # up past max_restarts).
                     self.event_log.emit("worker-restart-failed",
                                         level="error", shard=shard,
                                         error=repr(error))
@@ -293,8 +289,7 @@ class ClusterDispatcher(HttpFront):
             return None
         for attempt in range(PROXY_ATTEMPTS):
             if attempt:
-                self.counters["retried"] += 1
-                self._retried.inc()
+                self._counters["retried"].inc()
                 # Give the health sweep a chance to respawn the worker.
                 await asyncio.sleep(
                     min(1.0, self.config.health_interval * (attempt + 0.5)))
@@ -303,7 +298,7 @@ class ClusterDispatcher(HttpFront):
                                                 timeout=timeout)
             if response is not None:
                 return (*response, attempt)
-        self.counters["proxy_failures"] += 1
+        self._counters["proxy_failures"].inc()
         return None
 
     @staticmethod
@@ -362,11 +357,10 @@ class ClusterDispatcher(HttpFront):
         client_id = request.headers.get("x-client-id") or request.peer
         arrived = time.time()
         if self._draining:
-            self.counters["rejected_draining"] += 1
+            self._counters["rejected_draining"].inc()
             return 503, protocol.error_payload("fleet is draining"), {}
         decision = self.admission.admit(client_id, pending=self._open_jobs)
         if not decision:
-            self.counters["rejected"] += 1
             self.event_log.emit("admission-rejected", level="warning",
                                 client=client_id, reason=decision.reason,
                                 pending=self._open_jobs)
@@ -389,9 +383,8 @@ class ClusterDispatcher(HttpFront):
             self._record_dispatch(job_key, DispatchRecord(
                 shard=shard, start=arrived, duration=time.time() - arrived,
                 retries=response[3]))
-            self.counters["dispatched"] += 1
+            self._counters["dispatched"].inc(shard=str(shard))
             self._open_jobs += 1
-            self._dispatched.inc(shard=str(shard))
         return self._proxied_reply(shard, response)
 
     async def _job_status(self, request: Request) -> tuple[int, object, dict]:
@@ -541,19 +534,36 @@ class ClusterDispatcher(HttpFront):
         self._monotone[(metric, shard)] = (base, reported)
         return base + reported
 
+    @property
+    def counters(self) -> dict:
+        """The dispatcher's counters plus ``rejected``, the admission refusals."""
+        admission = self.admission.stats()
+        return {**super().counters,
+                "rejected": (admission["rejected_quota"]
+                             + admission["rejected_backpressure"])}
+
+    def _workers_alive(self) -> int:
+        return sum(1 for handle in self.workers.values() if handle.alive())
+
+    def _gauges(self) -> dict:
+        return {**super()._gauges(),
+                "workers": ("Configured shard workers",
+                            lambda: len(self.workers)),
+                "workers_alive": ("Shard worker processes currently alive",
+                                  self._workers_alive)}
+
     def _fleet_section(self) -> dict:
-        workers = [handle.describe() for _, handle
-                   in sorted(self.workers.items())]
         return {
             "uptime": self.uptime,
             "draining": self._draining,
             "workers": len(self.workers),
-            "workers_alive": sum(1 for worker in workers if worker["alive"]),
+            "workers_alive": self._workers_alive(),
             "shards_serving": self.ring.shards,
-            "dispatcher": dict(self.counters),
+            "dispatcher": self.counters,
             "admission": self.admission.stats(),
             "events": self.event_log.counts_by_level(),
-            "worker_detail": workers,
+            "worker_detail": [handle.describe() for _, handle
+                              in sorted(self.workers.items())],
         }
 
     async def _stats(self, request: Request) -> tuple[int, dict, dict]:
@@ -591,54 +601,10 @@ class ClusterDispatcher(HttpFront):
             fleet=self._fleet_section(), totals=totals,
             shards={str(shard): stats for shard, stats in per_shard.items()}), {}
 
-    _FLEET_COUNTER_HELP = {
-        "requests": "HTTP requests handled by this shard",
-        "submitted": "Jobs accepted for solving on this shard",
-        "deduplicated": "Submissions answered by an existing job record",
-        "completed": "Jobs finished with a result",
-        "failed": "Jobs finished with an error",
-        "rejected_draining": "Submissions refused during drain",
-        "bad_requests": "Requests rejected as malformed",
-        "records_pruned": "Finished job records evicted from memory",
-    }
-
     async def _metrics_text(self, request: Request) -> tuple[int, str, dict]:
-        """The fleet ``/metrics``: dispatcher instruments + per-shard mirrors."""
-        from repro import __version__
-
+        """The fleet ``/metrics``: shared families, shard mirrors, merged SLO."""
         registry = self.metrics
-        registry.gauge("repro_cluster_info",
-                       "Fleet identity and topology.").set(
-            1, version=__version__,
-            wire_version=str(protocol.WIRE_VERSION),
-            workers=str(len(self.workers)))
-        registry.gauge("repro_cluster_uptime_seconds",
-                       "Seconds since the dispatcher started").set(self.uptime)
-        registry.gauge("repro_cluster_draining",
-                       "Whether a fleet drain is in progress").set(
-            int(self._draining))
-        registry.gauge("repro_cluster_workers",
-                       "Configured shard workers").set(len(self.workers))
-        registry.gauge("repro_cluster_workers_alive",
-                       "Shard worker processes currently alive").set(
-            sum(1 for handle in self.workers.values() if handle.alive()))
-        registry.gauge("repro_cluster_jobs_open",
-                       "Fleet-wide open jobs (health-sweep estimate)").set(
-            self._open_jobs)
-        for name in ("requests", "rejected", "rejected_draining",
-                     "bad_requests", "proxy_failures"):
-            registry.counter(f"repro_cluster_{name}_total",
-                             f"Dispatcher {name.replace('_', ' ')}"
-                             ).set_total(self.counters[name])
-        admission = self.admission.stats()
-        registry.counter("repro_cluster_admission_admitted_total",
-                         "Submissions admitted by the fleet controller"
-                         ).set_total(admission["admitted"])
-        rejected = registry.counter(
-            "repro_cluster_admission_rejected_total",
-            "Submissions rejected by the fleet controller, by reason")
-        for reason in ("quota", "backpressure"):
-            rejected.set_total(admission[f"rejected_{reason}"], reason=reason)
+        self._rejected.set_total(self.counters["rejected"])
         per_shard, slo_statuses = await asyncio.gather(
             self._gather_worker_json("GET", "/v1/stats"),
             self._gather_worker_json("GET", "/v1/slo"))
@@ -658,16 +624,14 @@ class ClusterDispatcher(HttpFront):
             for name, value in stats.get("gateway", {}).items():
                 registry.counter(
                     f"repro_fleet_{name}_total",
-                    self._FLEET_COUNTER_HELP.get(name, name)).set_total(
+                    RoutingGateway.COUNTERS.get(name, name)).set_total(
                     self._monotone_total(f"gateway.{name}", label,
                                          float(value)), shard=label)
             cache = stats.get("cache")
             if cache:
-                for key in ("hits", "misses", "stores", "rejected",
-                            "evictions"):
+                for key, help_text in CACHE_COUNTERS.items():
                     registry.counter(
-                        f"repro_fleet_cache_{key}_total",
-                        f"Shared-cache {key} observed by each shard"
+                        f"repro_fleet_cache_{key}_total", help_text
                         ).set_total(self._monotone_total(
                             f"cache.{key}", label, float(cache[key])),
                             shard=label)
@@ -675,12 +639,7 @@ class ClusterDispatcher(HttpFront):
             [status for status in slo_statuses.values() if status is not None])
         if merged is not None:
             mirror_slo(registry, merged)
-        emitted = registry.counter(
-            "repro_events_total",
-            "Dispatcher operational events emitted, by level")
-        for level, count in sorted(self.event_log.counts_by_level().items()):
-            emitted.set_total(count, level=level)
-        return 200, registry.render(first=("repro_cluster_info",)), {}
+        return await super()._metrics_text(request)
 
     async def _cluster(self, request: Request) -> tuple[int, dict, dict]:
         return 200, protocol.envelope(
@@ -695,8 +654,7 @@ class ClusterDispatcher(HttpFront):
 
     def _health_fields(self) -> dict:
         return {"role": "dispatcher", "workers": len(self.workers),
-                "workers_alive": sum(1 for handle in self.workers.values()
-                                     if handle.alive())}
+                "workers_alive": self._workers_alive()}
 
 
 class FleetThread(ServerThread):

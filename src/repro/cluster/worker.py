@@ -41,59 +41,59 @@ def _start_context():
     return multiprocessing.get_context(method)
 
 
-def build_worker_service(config: FleetConfig, shard_id: int):
-    """The shard's :class:`BatchRoutingService`, sharing the fleet cache.
+def build_worker_gateway(config: FleetConfig, shard_id: int | None = None):
+    """A gateway built from ``config``: one fleet shard, or the whole server.
 
-    Every worker must key jobs identically (same budget default, same
-    portfolio namespace) or fleet-wide dedup breaks; that is why this is
-    derived from the one :class:`FleetConfig` rather than per-worker knobs.
-    """
-    from repro.service import BatchRoutingService, ResultCache
+    With a ``shard_id`` it is that shard's gateway on a loopback port, its
+    cache entries, trace and event files tagged ``shard-N``.  Admission is
+    effectively open there: the *dispatcher* is the fleet's admission point,
+    and double-throttling behind it would turn its carefully computed
+    ``Retry-After`` hints into lies.  The worker keeps only the global
+    pending bound as a local safety valve.
 
-    if config.cache_dir is not None:
-        cache = ResultCache(directory=config.cache_dir,
-                            max_bytes=config.cache_max_bytes,
-                            owner=f"shard-{shard_id}")
-    else:
-        cache = False
-    return BatchRoutingService(
-        max_workers=config.pool_workers,
-        mode=config.pool_mode,
-        time_budget=config.time_budget,
-        cache=cache,
-        portfolio=config.portfolio,
-    )
-
-
-def build_worker_gateway(config: FleetConfig, shard_id: int, port: int = 0):
-    """The shard's gateway on a loopback port.
-
-    Admission is effectively open here: the *dispatcher* is the fleet's
-    admission point, and double-throttling behind it would turn its
-    carefully computed ``Retry-After`` hints into lies.  The worker keeps
-    only the global pending bound as a local safety valve.
+    Without one it is the single-process server ``repro serve --workers 1``
+    runs: bound to ``config.host:config.port``, admitting by the config's
+    ``rate``/``burst``/``max_pending``, its files untagged.
     """
     from repro.obs.sampling import TailSampler
     from repro.obs.slo import SloTracker
     from repro.server import AdmissionController, RoutingGateway
+    from repro.service import BatchRoutingService, ResultCache
 
-    service = build_worker_service(config, shard_id)
-    admission = AdmissionController(rate=1e9, burst=1e9,
-                                    max_pending=config.max_pending)
+    if shard_id is None:
+        host, port, owner = config.host, config.port, None
+        admission = AdmissionController(rate=config.rate, burst=config.burst,
+                                        max_pending=config.max_pending)
+    else:
+        host, port, owner = "127.0.0.1", 0, f"shard-{shard_id}"
+        admission = AdmissionController(rate=1e9, burst=1e9,
+                                        max_pending=config.max_pending)
+    # Every worker must key jobs identically (same budget default, same
+    # portfolio namespace) or fleet-wide dedup breaks; that is why the
+    # service comes from the one FleetConfig rather than per-worker knobs.
+    service = BatchRoutingService(
+        max_workers=config.pool_workers,
+        mode=config.pool_mode,
+        time_budget=config.time_budget,
+        cache=(ResultCache(directory=config.cache_dir,
+                           max_bytes=config.cache_max_bytes, owner=owner)
+               if config.cache_dir is not None else False),
+        portfolio=config.portfolio,
+    )
     options = dict(config.gateway_options)
     # Observability wiring: every worker tracks the same objectives (the
     # dispatcher merges the raw CDFs into fleet quantiles), tags its trace
     # and event files with its shard id so the shared directories stay
     # multi-process safe, and applies the fleet's tail-sampling policy.
     options.setdefault("slo", SloTracker(objectives=config.slos))
-    options.setdefault("trace_owner", f"shard-{shard_id}")
+    options.setdefault("trace_owner", owner)
     options.setdefault("events_dir", config.events_dir)
     if config.trace_sample_rate is not None or config.slow_trace_seconds is not None:
         options.setdefault("sampler", TailSampler(
             rate=(config.trace_sample_rate
                   if config.trace_sample_rate is not None else 1.0),
             slow_threshold=config.slow_trace_seconds))
-    return RoutingGateway(service=service, host="127.0.0.1", port=port,
+    return RoutingGateway(service=service, host=host, port=port,
                           admission=admission,
                           time_budget=config.time_budget,
                           trace_dir=config.trace_dir,

@@ -1,8 +1,9 @@
 """Counters, gauges, and fixed-bucket histograms with Prometheus exposition.
 
 The server's ``/metrics`` endpoint renders one :class:`MetricsRegistry`:
-the batch service's per-job histograms live on it, and the gateway mirrors
-its own counters and gauges into it at scrape time.  Instruments are
+the batch service's per-job histograms live on it, and the gateway's own
+counters are instruments on it from the start, so ``/v1/stats`` and
+``/metrics`` read the same values.  Instruments are
 created (or looked up) with :meth:`MetricsRegistry.counter` /
 :meth:`~MetricsRegistry.gauge` / :meth:`~MetricsRegistry.histogram`; the
 registry renders the whole collection as Prometheus text exposition format
@@ -156,6 +157,11 @@ class Counter(_Instrument):
     def value(self, **labels) -> float:
         with self._lock:
             return self._values.get(_labels_key(labels), 0.0)
+
+    def total(self) -> float:
+        """The count summed over every label set."""
+        with self._lock:
+            return sum(self._values.values())
 
     def render(self) -> list[str]:
         with self._lock:

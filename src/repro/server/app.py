@@ -9,10 +9,13 @@ own ``info``-level :class:`~repro.obs.events.EventLog` on the service, so
 one log counts every job step and every gateway event, while ``/v1/events``
 and the ``--events-dir`` files keep only ``info`` and above.  The HTTP
 layer -- connection handling, body parsing, the route table, ``/healthz``,
-``/v1/routers``, ``/v1/devices`` and ``/v1/events`` -- is the
-:class:`~repro.server.http.HttpFront` it shares with the fleet dispatcher;
-this module holds the gateway's own state (jobs, their queue, the service)
-and its handlers.
+``/v1/routers``, ``/v1/devices``, ``/v1/events`` and the metric families
+both fronts share -- is the :class:`~repro.server.http.HttpFront` it shares
+with the fleet dispatcher; this module holds the gateway's own state (jobs,
+their queue, the service) and its handlers.  The gateway's counters
+(:attr:`RoutingGateway.COUNTERS`) are ``repro_server_*`` instruments on the
+service's registry from the start: the ``gateway`` section of ``/v1/stats``
+and ``/metrics`` read the same instruments.
 
 Endpoints (wire schemas in :mod:`repro.server.protocol`):
 
@@ -71,6 +74,15 @@ from repro.server.admission import AdmissionController
 from repro.server.http import HttpFront, Request, ServerThread, serve
 from repro.service import BatchRoutingService
 from repro.service.jobs import RoutingJob
+
+#: The result-cache counters, ``cache.stats()`` key -> HELP text.
+CACHE_COUNTERS = {
+    "hits": "Cache lookups answered",
+    "misses": "Cache lookups that missed",
+    "stores": "Results stored in the cache",
+    "rejected": "Results the verifier refused to cache",
+    "evictions": "Entries evicted by the size bound",
+}
 
 
 @dataclass
@@ -161,6 +173,16 @@ class RoutingGateway(HttpFront):
         are counted but neither kept nor written.
     """
 
+    METRIC_PREFIX = "repro_server"
+    COUNTERS = {
+        **HttpFront.COUNTERS,
+        "submitted": "Jobs accepted for solving",
+        "deduplicated": "Submissions answered by an existing job record",
+        "completed": "Jobs finished with a result",
+        "failed": "Jobs finished with an error",
+        "records_pruned": "Finished job records evicted from memory",
+    }
+
     def __init__(self, service: BatchRoutingService | None = None,
                  host: str = "127.0.0.1", port: int = 0,
                  admission: AdmissionController | None = None,
@@ -172,8 +194,10 @@ class RoutingGateway(HttpFront):
                  trace_dir=None, trace_owner: str | None = None,
                  slo=None, sampler: TailSampler | None = None,
                  events_dir=None) -> None:
-        super().__init__(host, port)
         self.service = service if service is not None else BatchRoutingService()
+        # One registry backs /metrics: the service's per-job histograms are
+        # already on it, and the gateway's own instruments join them.
+        super().__init__(host, port, self.service.metrics)
         self._owns_service = service is None
         self.admission = admission if admission is not None else AdmissionController()
         self.time_budget = time_budget
@@ -198,25 +222,10 @@ class RoutingGateway(HttpFront):
         self.event_log = EventLog(directory=events_dir, owner=trace_owner,
                                   level="info")
         self.service.event_log = self.event_log
-        #: One registry backs /metrics: the service's per-job histograms are
-        #: already on it, and every gateway family is mirrored into it at
-        #: scrape time.
-        self.metrics = self.service.metrics
         self._gateway_seconds = self.metrics.histogram(
             "repro_gateway_job_seconds",
             "Submission-to-finish seconds per gateway job")
         self.jobs: dict[str, JobRecord] = {}
-        self.counters = {
-            "requests": 0,
-            "submitted": 0,
-            "deduplicated": 0,
-            "completed": 0,
-            "failed": 0,
-            "rejected_draining": 0,
-            "bad_requests": 0,
-            "records_pruned": 0,
-        }
-        self._open_jobs = 0  # queued + running
         self._queue: asyncio.Queue = asyncio.Queue()
         self._dispatcher: asyncio.Task | None = None
 
@@ -290,9 +299,9 @@ class RoutingGateway(HttpFront):
         record.finished_at = time.monotonic()
         self._open_jobs -= 1
         if error is None and result is not None:
-            self.counters["completed"] += 1
+            self._counters["completed"].inc()
         else:
-            self.counters["failed"] += 1
+            self._counters["failed"].inc()
         elapsed = record.finished_at - record.submitted_at
         self._gateway_seconds.observe(elapsed)
         ok = error is None and result is not None and result.solved
@@ -335,7 +344,7 @@ class RoutingGateway(HttpFront):
             key=lambda record: record.finished_at or 0.0)
         for record in finished[:excess]:
             del self.jobs[record.job_id]
-            self.counters["records_pruned"] += 1
+            self._counters["records_pruned"].inc()
 
     # ------------------------------------------------------------- endpoints
 
@@ -343,7 +352,7 @@ class RoutingGateway(HttpFront):
         client_id = request.headers.get("x-client-id") or request.peer
         submit_started = time.time()
         if self._draining:
-            self.counters["rejected_draining"] += 1
+            self._counters["rejected_draining"].inc()
             return 503, protocol.error_payload("server is draining"), {}
         decision = self.admission.admit(client_id, pending=self._open_jobs)
         if not decision:
@@ -379,7 +388,7 @@ class RoutingGateway(HttpFront):
             # whatever its state -- this is the cross-client single-solve
             # dedup path.
             record.submissions += 1
-            self.counters["deduplicated"] += 1
+            self._counters["deduplicated"].inc()
             body = record.status_payload()
             body["deduplicated"] = True
             return 200, body, {}
@@ -399,7 +408,7 @@ class RoutingGateway(HttpFront):
             record.trace_id = root.trace_id
         self.jobs[job_id] = record
         self._open_jobs += 1
-        self.counters["submitted"] += 1
+        self._counters["submitted"].inc()
         self._queue.put_nowait(record)
         body = record.status_payload()
         body["deduplicated"] = False
@@ -462,7 +471,7 @@ class RoutingGateway(HttpFront):
             "draining": self._draining,
             "jobs_open": self._open_jobs,
             "jobs_known": len(self.jobs),
-            "gateway": dict(self.counters),
+            "gateway": self.counters,
             "admission": self.admission.stats(),
             "telemetry": dict(sorted(
                 self.event_log.counts_by_event().items())),
@@ -504,54 +513,20 @@ class RoutingGateway(HttpFront):
         return 200, protocol.envelope(draining=True,
                                       jobs_open=self._open_jobs), {}
 
-    _COUNTER_HELP = {
-        "requests": "HTTP requests handled",
-        "submitted": "Jobs accepted for solving",
-        "deduplicated": "Submissions answered by an existing job record",
-        "completed": "Jobs finished with a result",
-        "failed": "Jobs finished with an error",
-        "rejected_draining": "Submissions refused during drain",
-        "bad_requests": "Requests rejected as malformed",
-        "records_pruned": "Finished job records evicted from memory",
-    }
+    def _gauges(self) -> dict:
+        return {**super()._gauges(),
+                "jobs_known": ("Job records held in memory",
+                               lambda: len(self.jobs))}
 
     async def _metrics_text(self, request: Request) -> tuple[int, str, dict]:
-        """The /metrics scrape: registry-driven Prometheus text exposition.
+        """``/metrics``: the shared families plus the gateway's own extras.
 
-        Gateway counters, admission stats, event counts, and cache state are
-        mirrored into the shared :class:`MetricsRegistry` at scrape time,
-        then the whole registry -- including the latency/queue/stage/
-        conflict histograms the service feeds per finished job -- renders as
-        one document through a single formatter.
+        The extras are the cache state, the SLO evaluation, the sampler's
+        decisions and the events by kind, all copied in at scrape time; the
+        latency/queue/stage/conflict histograms the service feeds per
+        finished job are already on the registry.
         """
-        from repro import __version__
-
         registry = self.metrics
-        info = registry.gauge("repro_server_info",
-                              "Build and wire-protocol identity.")
-        info.set(1, version=__version__,
-                 wire_version=str(protocol.WIRE_VERSION))
-        registry.gauge("repro_server_uptime_seconds",
-                       "Seconds since the gateway started").set(self.uptime)
-        registry.gauge("repro_server_draining",
-                       "Whether a graceful drain is in progress").set(
-            int(self._draining))
-        registry.gauge("repro_server_jobs_open",
-                       "Jobs queued or running").set(self._open_jobs)
-        registry.gauge("repro_server_jobs_known",
-                       "Job records held in memory").set(len(self.jobs))
-        for name, value in sorted(self.counters.items()):
-            registry.counter(f"repro_server_{name}_total",
-                             self._COUNTER_HELP.get(name, name)).set_total(value)
-        admission = self.admission.stats()
-        registry.counter("repro_server_admission_admitted_total",
-                         "Submissions admitted by the controller").set_total(
-            admission["admitted"])
-        rejected = registry.counter(
-            "repro_server_admission_rejected_total",
-            "Submissions rejected by the controller, by reason")
-        for reason in ("quota", "backpressure"):
-            rejected.set_total(admission[f"rejected_{reason}"], reason=reason)
         events = registry.counter(
             "repro_telemetry_events_total",
             "Events emitted by the service and the gateway, by kind")
@@ -559,14 +534,7 @@ class RoutingGateway(HttpFront):
             events.set_total(count, kind=kind)
         if self.service.cache is not None:
             cache = self.service.cache.stats()
-            cache_help = {
-                "hits": "Cache lookups answered",
-                "misses": "Cache lookups that missed",
-                "stores": "Results stored in the cache",
-                "rejected": "Results the verifier refused to cache",
-                "evictions": "Entries evicted by the size bound",
-            }
-            for key, help_text in cache_help.items():
+            for key, help_text in CACHE_COUNTERS.items():
                 registry.counter(f"repro_cache_{key}_total",
                                  help_text).set_total(int(cache[key]))
             registry.gauge("repro_cache_entries",
@@ -582,12 +550,7 @@ class RoutingGateway(HttpFront):
                 "Tail-sampling decisions on finished traces, by reason")
             for reason, count in sorted(dict(self.sampler.counts).items()):
                 sampled.set_total(count, reason=reason)
-        emitted = registry.counter(
-            "repro_events_total",
-            "Structured operational events emitted, by level")
-        for level, count in sorted(self.event_log.counts_by_level().items()):
-            emitted.set_total(count, level=level)
-        return 200, registry.render(first=("repro_server_info",)), {}
+        return await super()._metrics_text(request)
 
 
 class GatewayThread(ServerThread):

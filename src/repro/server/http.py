@@ -5,7 +5,8 @@ One request per connection, ``Connection: close``, bodies framed by
 :class:`~repro.server.app.RoutingGateway` and
 :class:`~repro.cluster.dispatcher.ClusterDispatcher` are each an
 :class:`HttpFront` -- connection handling, request parsing, one route
-table, the shared endpoints -- plus their own state and handlers.
+table, the shared endpoints and metric families -- plus their own state and
+handlers.
 :func:`serve` runs a front until it drains (``repro serve``, shard worker
 processes); :class:`ServerThread` runs one on a daemon thread.
 :func:`fetch` is the tiny client the dispatcher proxies to its shard
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from repro.api.registry import describe_routers
 from repro.hardware.devices import device_records
 from repro.obs.events import LEVELS
+from repro.obs.metrics import MetricsRegistry
 from repro.server import protocol
 
 #: Hard cap on request body size (canonical QASM for big circuits is ~1 MB).
@@ -162,33 +164,74 @@ class Request:
 
 
 class HttpFront:
-    """Connection handling, routing and lifecycle shared by both fronts.
+    """Connection handling, routing, lifecycle and metrics shared by both fronts.
 
-    Every request is read with :data:`READ_TIMEOUT` and counted in
-    ``counters``.  Before any handler runs (and so before admission) the
-    JSON body is parsed, ``/v1/jobs/<id>[/result|/trace]`` is split into
-    its route and job id, and a job status ``?wait=`` is parsed once.  A
+    Every request is read with :data:`READ_TIMEOUT` and counted.  Before
+    any handler runs (and so before admission) the JSON body is parsed,
+    ``/v1/jobs/<id>[/result|/trace]`` is split into its route and job id,
+    and a job status ``?wait=`` is parsed once.  A
     :class:`~repro.server.protocol.ProtocolError` is answered with its 4xx
     (and counted in ``bad_requests``), any other exception with a 500 that
     carries no traceback, an unknown route with a 404.
 
-    A subclass sets ``counters`` (with ``requests`` and ``bad_requests``
-    keys), ``architectures`` and ``event_log``; implements ``start`` (which
-    calls :meth:`_listen`), ``initiate_drain`` (which eventually sets
-    ``_closed``) and the handlers :meth:`_routes` names.  A handler is a
-    coroutine taking a :class:`Request` and returning a ``(status,
-    payload, extra_headers)`` reply, the payload a JSON object or text.
+    Each counter in :attr:`COUNTERS` is a ``<METRIC_PREFIX>_<name>_total``
+    instrument on the front's :class:`~repro.obs.metrics.MetricsRegistry`
+    from construction on: handlers increment ``_counters[name]``, and
+    ``/v1/stats`` (through :attr:`counters`) and ``/metrics`` read the same
+    instruments.  The families both fronts share -- info, uptime, draining,
+    jobs_open, admission and events by level -- are declared here once.
+
+    A subclass names its :attr:`METRIC_PREFIX`, extends :attr:`COUNTERS`
+    (name -> HELP) and :meth:`_gauges`, and sets ``architectures``,
+    ``admission`` and ``event_log``; it implements ``start`` (which calls
+    :meth:`_listen`), ``initiate_drain`` (which eventually sets ``_closed``)
+    and the handlers :meth:`_routes` names.  A handler is a coroutine
+    taking a :class:`Request` and returning a ``(status, payload,
+    extra_headers)`` reply, the payload a JSON object or text.
     """
 
-    def __init__(self, host: str, port: int) -> None:
+    #: Prefix of the front's own metric families, set by each subclass.
+    METRIC_PREFIX: str
+    #: The counters every front keeps, name -> HELP text.
+    COUNTERS = {
+        "requests": "HTTP requests handled",
+        "bad_requests": "Requests rejected as malformed",
+        "rejected_draining": "Submissions refused during drain",
+    }
+
+    def __init__(self, host: str, port: int, metrics: MetricsRegistry,
+                 **info_labels: str) -> None:
+        """``info_labels`` are extra labels on the ``<prefix>_info`` gauge."""
+        from repro import __version__
+
         self.host = host
         self.port = port
         self._draining = False
         self._started = time.monotonic()
+        self._open_jobs = 0  # queued + running (a fleet's: an estimate)
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
         self._closed = asyncio.Event()
         self._route_table = self._routes()
+        self.metrics = metrics
+        prefix = self.METRIC_PREFIX
+        metrics.gauge(f"{prefix}_info", "Build and wire-protocol identity").set(
+            1, version=__version__, wire_version=str(protocol.WIRE_VERSION),
+            **info_labels)
+        for name, (help_text, read) in self._gauges().items():
+            metrics.gauge(f"{prefix}_{name}", help_text).set_function(read)
+        self._counters = {
+            name: metrics.counter(f"{prefix}_{name}_total", help_text)
+            for name, help_text in self.COUNTERS.items()}
+        self._admitted = metrics.counter(
+            f"{prefix}_admission_admitted_total",
+            "Submissions admitted by the controller")
+        self._admission_rejected = metrics.counter(
+            f"{prefix}_admission_rejected_total",
+            "Submissions rejected by the controller, by reason")
+        self._events_emitted = metrics.counter(
+            "repro_events_total",
+            "Structured operational events emitted by this front, by level")
 
     def _routes(self) -> dict:
         """The ``(method, route) -> handler`` table this front serves."""
@@ -208,6 +251,23 @@ class HttpFront:
             ("GET", JOB_ROUTE + "/result"): self._job_result,
             ("GET", JOB_ROUTE + "/trace"): self._job_trace,
         }
+
+    def _gauges(self) -> dict:
+        """``name -> (HELP, read)`` of the gauges sampled at scrape time."""
+        return {
+            "uptime_seconds": ("Seconds since this front started",
+                               lambda: self.uptime),
+            "draining": ("Whether a graceful drain is in progress",
+                         lambda: int(self._draining)),
+            "jobs_open": ("Jobs queued or running",
+                          lambda: self._open_jobs),
+        }
+
+    @property
+    def counters(self) -> dict:
+        """A snapshot of this front's counters, as ``/v1/stats`` reports them."""
+        return {name: int(counter.total())
+                for name, counter in self._counters.items()}
 
     # ------------------------------------------------------------- lifecycle
 
@@ -264,7 +324,7 @@ class HttpFront:
             else:
                 if request is None:
                     return
-                self.counters["requests"] += 1
+                self._counters["requests"].inc()
                 try:
                     reply = await self._dispatch(*request, peer)
                 except protocol.ProtocolError as error:
@@ -284,7 +344,7 @@ class HttpFront:
                 pass
 
     def _bad_request(self, error: protocol.ProtocolError):
-        self.counters["bad_requests"] += 1
+        self._counters["bad_requests"].inc()
         return error.http_status, protocol.error_payload(str(error)), {}
 
     async def _dispatch(self, method: str, path: str, query: dict,
@@ -339,6 +399,24 @@ class HttpFront:
         return 200, protocol.envelope(
             events=events, counts=self.event_log.counts_by_level(),
             dropped=self.event_log.dropped), {}
+
+    async def _metrics_text(self, request: Request):
+        """``/metrics``: the front's whole registry as Prometheus text.
+
+        Counters and gauges are live instruments; only the counts other
+        objects own -- the admission controller's and the event log's --
+        are copied in here.  A subclass copies in its own extras, then calls
+        this.
+        """
+        admission = self.admission.stats()
+        self._admitted.set_total(admission["admitted"])
+        for reason in ("quota", "backpressure"):
+            self._admission_rejected.set_total(
+                admission[f"rejected_{reason}"], reason=reason)
+        for level, count in sorted(self.event_log.counts_by_level().items()):
+            self._events_emitted.set_total(count, level=level)
+        return 200, self.metrics.render(
+            first=(f"{self.METRIC_PREFIX}_info",)), {}
 
 
 async def serve(front: HttpFront, install_signal_handlers: bool = True,

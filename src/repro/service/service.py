@@ -33,7 +33,6 @@ from repro.core.result import RoutingResult
 from repro.hardware.architecture import Architecture
 from repro.obs import trace as obs_trace
 from repro.obs.events import EventLog
-from repro.obs.export import JsonlTraceWriter
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.jobs import RoutingJob
@@ -74,9 +73,6 @@ class BatchRoutingService:
         tracing, and an explicit :class:`~repro.obs.Tracer` shares the
         caller's (the HTTP gateway passes its own so job spans, pool
         subtrees, and admission spans land in one tree).
-    trace_dir:
-        When set, every finished trace tree the service owns is appended as
-        JSONL under this directory (size-rotated files).
 
     Every job step is one event in :attr:`event_log`: ``queued``,
     ``started``, ``cache-hit``, ``cache-store`` and ``finished`` at
@@ -98,7 +94,6 @@ class BatchRoutingService:
         portfolio: bool | tuple[str, ...] | None = None,
         fallback: bool = True,
         tracer: obs_trace.Tracer | bool | None = None,
-        trace_dir: str | Path | None = None,
     ) -> None:
         if not 0 < time_budget < math.inf:
             raise ValueError("time_budget must be positive and finite")
@@ -152,8 +147,6 @@ class BatchRoutingService:
             self.tracer = obs_trace.Tracer()
         else:
             self.tracer = tracer
-        self._trace_writer = (JsonlTraceWriter(trace_dir)
-                              if trace_dir is not None else None)
         self._max_workers = max_workers
         self._mode = mode
         self._pool: WorkerPool | None = None
@@ -257,8 +250,6 @@ class BatchRoutingService:
                 root.finish(status=result.status.value,
                             swaps=result.swap_count)
                 result.trace = root.to_dict()
-                if self._trace_writer is not None:
-                    self._trace_writer.write(result.trace)
             self._record_outcome(job, key_jobs[index], result)
             results[index] = result
             report(index, result)

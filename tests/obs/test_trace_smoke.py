@@ -12,8 +12,7 @@ import pytest
 
 from repro.circuits.random_circuits import random_circuit
 from repro.hardware.devices import named_architectures
-from repro.obs import JsonlTraceWriter, find_span, span_names, validate_trace
-from repro.obs.export import read_traces
+from repro.obs import find_span, span_names, validate_trace
 from repro.service import BatchRoutingService, RoutingJob
 
 REQUIRED_SPANS = ("queue-wait", "encode", "solve", "extract", "verify")
@@ -70,16 +69,6 @@ class TestServiceTraces:
         assert result.solved
         assert result.trace is None
         assert service.tracer is None
-
-    def test_trace_dir_persists_finished_trees(self, tmp_path):
-        with BatchRoutingService(mode="serial", cache=False,
-                                 time_budget=10.0,
-                                 trace_dir=tmp_path) as service:
-            [result] = service.route_batch([small_job()])
-        assert result.solved
-        traces = read_traces(tmp_path)
-        assert len(traces) == 1
-        assert_complete_tree(traces[0])
 
     def test_queue_wait_feeds_the_telemetry_histogram(self):
         with BatchRoutingService(mode="serial", cache=False,

@@ -7,7 +7,8 @@ import json
 import pytest
 
 from repro.circuits.qasm import load_qasm
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, serve_config
+from repro.cluster.worker import build_worker_gateway
 
 QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -49,6 +50,56 @@ class TestParsers:
     def test_serve_rejects_bad_budget(self, capsys):
         assert main(["serve", "--time-budget", "-1"]) == 2
         assert "positive" in capsys.readouterr().err
+
+
+class TestServeAssembly:
+    def test_single_worker_gateway_carries_the_flags(self, tmp_path):
+        args = build_parser().parse_args([
+            "serve", "--host", "0.0.0.0", "--port", "9123",
+            "--time-budget", "7", "--mode", "serial",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--rate", "3", "--burst", "7", "--max-pending", "11",
+            "--trace-dir", str(tmp_path / "traces"),
+            "--events-dir", str(tmp_path / "events"),
+            "--trace-sample", "0.25", "--slow-trace-ms", "1500",
+            "--slo", "satmap:p99<5@0.995", "--slo", "p90<2"])
+        gateway = build_worker_gateway(serve_config(args))
+        try:
+            assert (gateway.host, gateway.port) == ("0.0.0.0", 9123)
+            assert gateway.time_budget == 7.0
+            admission = gateway.admission
+            assert (admission.rate, admission.burst,
+                    admission.max_pending) == (3.0, 7.0, 11)
+            assert gateway.sampler.rate == 0.25
+            assert gateway.sampler.slow_threshold == 1.5
+            assert [(objective.route, objective.quantile,
+                     objective.latency_target, objective.availability_target)
+                    for objective in gateway.slo.objectives] == [
+                ("satmap", 0.99, 5.0, 0.995), ("*", 0.9, 2.0, 0.99)]
+            # A single process tags none of its files with a shard id.
+            assert gateway._trace_writer.path == tmp_path / "traces" / \
+                "traces.jsonl"
+            assert gateway.event_log.path == tmp_path / "events" / \
+                "events.jsonl"
+            assert gateway.service.cache.directory == tmp_path / "cache"
+            assert gateway.service.cache.owner is None
+        finally:
+            gateway.service.close()
+
+    def test_a_fleet_shard_binds_loopback_with_open_admission(self, tmp_path):
+        args = build_parser().parse_args([
+            "serve", "--workers", "2", "--host", "0.0.0.0", "--rate", "3",
+            "--max-pending", "11", "--cache-dir", str(tmp_path / "cache"),
+            "--trace-dir", str(tmp_path / "traces")])
+        gateway = build_worker_gateway(serve_config(args), shard_id=1)
+        try:
+            assert (gateway.host, gateway.port) == ("127.0.0.1", 0)
+            assert gateway.admission.rate == 1e9
+            assert gateway.admission.max_pending == 11
+            assert gateway._trace_writer.path.name == "traces.shard-1.jsonl"
+            assert gateway.service.cache.owner == "shard-1"
+        finally:
+            gateway.service.close()
 
 
 class TestSubmitCommand:

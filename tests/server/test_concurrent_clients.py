@@ -8,12 +8,16 @@ contracts under test:
 * a burst past the token-bucket quota is refused with 429 + retry-after
   while other clients keep being served;
 * a drain initiated while jobs are in flight completes every accepted job
-  (best-so-far within its budget) and loses no result.
+  (best-so-far within its budget) and loses no result; a waiter parked
+  before the drain gets its result on the same connection.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
+import time
 
 import pytest
 
@@ -171,10 +175,33 @@ class TestQuotaUnderBurst:
         assert excinfo.value.payload["reason"] == "backpressure"
 
 
+def hold_batches(service: BatchRoutingService) -> threading.Event:
+    """Stall every ``service.route_batch`` call until the event is set."""
+    release = threading.Event()
+    route_batch = service.route_batch
+
+    def held(jobs, **kwargs):
+        release.wait(60)
+        return route_batch(jobs, **kwargs)
+
+    service.route_batch = held
+    return release
+
+
+def wait_for_connections(gateway, count: int, timeout: float = 30.0) -> None:
+    """Block until the gateway holds exactly ``count`` open connections."""
+    deadline = time.monotonic() + timeout
+    while len(gateway.gateway._connections) != count:
+        assert time.monotonic() < deadline, (
+            f"gateway never held {count} connections")
+        time.sleep(0.01)
+
+
 class TestGracefulDrainUnderLoad:
     def test_drain_mid_flight_returns_best_so_far(self, gateway_factory):
         service = BatchRoutingService(mode="serial", time_budget=5.0)
         gateway = gateway_factory(service=service, max_batch=2)
+        release = hold_batches(service)
         client = RoutingClient(port=gateway.port, client_id="drainer")
         tickets = [client.submit(random_circuit(4, 10, seed=700 + index,
                                                 name=f"drain_{index}"),
@@ -182,8 +209,9 @@ class TestGracefulDrainUnderLoad:
                                  router="satmap", time_budget=1.0)
                    for index in range(4)]
 
-        # Collect results on long-poll threads *before* initiating drain,
-        # so the fetches race the shutdown exactly like real clients would.
+        # Collect results on long-poll threads *before* initiating drain;
+        # the jobs are held until all four waiters are parked on the
+        # gateway, so none can arrive after the listener has closed.
         def wait_for(index: int):
             waiter = RoutingClient(port=gateway.port,
                                    client_id=f"waiter-{index}")
@@ -193,9 +221,14 @@ class TestGracefulDrainUnderLoad:
         threads = [threading.Thread(
             target=lambda i=i: collector.append((i, wait_for(i))))
             for i in range(4)]
-        for thread in threads:
-            thread.start()
-        client.drain()
+        try:
+            wait_for_connections(gateway, 0)
+            for thread in threads:
+                thread.start()
+            wait_for_connections(gateway, 4)
+            client.drain()
+        finally:
+            release.set()
         for thread in threads:
             thread.join(timeout=120)
         gateway.stop(timeout=120)
@@ -205,3 +238,46 @@ class TestGracefulDrainUnderLoad:
             assert result.solved  # best-so-far within the 1s budget
         records = gateway.gateway.jobs
         assert all(record.status == "done" for record in records.values())
+
+    def test_a_parked_waiter_gets_its_result_on_the_same_connection(
+            self, gateway_factory):
+        service = BatchRoutingService(mode="serial", time_budget=5.0)
+        gateway = gateway_factory(service=service)
+        release = hold_batches(service)
+        try:
+            client = RoutingClient(port=gateway.port, client_id="drainer")
+            ticket = client.submit(random_circuit(4, 6, seed=710,
+                                                  name="parked"),
+                                   architecture="tokyo6", router="sabre:seed=0")
+            wait_for_connections(gateway, 0)
+            replies: list = []
+
+            def long_poll() -> None:
+                connection = http.client.HTTPConnection(
+                    "127.0.0.1", gateway.port, timeout=60)
+                connection.request(
+                    "GET", f"/v1/jobs/{ticket['job_id']}"
+                           "?wait=30&include_result=1")
+                response = connection.getresponse()
+                replies.append((response.status,
+                                json.loads(response.read())))
+                connection.close()
+
+            waiter = threading.Thread(target=long_poll)
+            waiter.start()
+            wait_for_connections(gateway, 1)
+            assert client.drain()["draining"] is True
+            record = gateway.gateway.jobs[ticket["job_id"]]
+            assert gateway.gateway.draining and record.status != "done"
+        finally:
+            release.set()
+        waiter.join(timeout=60)
+        gateway.stop(timeout=60)
+
+        # The drain emptied the queue and closed the listener; the waiter
+        # parked before it still got the finished job, result included.
+        [(status, body)] = replies
+        assert status == 200
+        assert body["status"] == "done" and body["result"]["solved"] is True
+        with pytest.raises((ConnectionError, OSError)):
+            RoutingClient(port=gateway.port, timeout=5).health()
