@@ -224,6 +224,12 @@ def parse_submit(payload: Mapping,
         if spec.options.get("time_budget", 0) > MAX_WIRE_TIME_BUDGET:
             raise ValueError(f"time_budget is over the wire limit of "
                              f"{MAX_WIRE_TIME_BUDGET:g} s")
+        # Slots beyond the device diameter can never buy a cheaper routing
+        # (Section IV), but they still cost encoding time and memory.
+        slots = spec.options.get("swaps_per_gate")
+        if slots is not None and slots > max(1, architecture.diameter()):
+            raise ValueError(f"swaps_per_gate={slots} is over the device "
+                             f"diameter of {architecture.diameter()}")
     except (SpecError, KeyError, TypeError, ValueError) as error:
         message = error.args[0] if error.args else error
         raise ProtocolError(f"invalid router spec: {message}") from None

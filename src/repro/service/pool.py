@@ -4,9 +4,9 @@ The pool executes :class:`~repro.service.jobs.RoutingJob`\\ s via a
 ``concurrent.futures`` executor.  Three modes:
 
 * ``process`` -- ``ProcessPoolExecutor``; true parallelism for the CPU-bound
-  SAT search.  Jobs and results cross the boundary as plain data (the job is
-  a picklable dataclass, the result travels as the JSON payload from
-  :mod:`repro.service.cache`).
+  SAT search.  Jobs and results cross the boundary pickled, as themselves:
+  a :class:`~repro.service.jobs.RoutingJob` in, a
+  :class:`~repro.core.result.RoutingResult` out.
 * ``thread`` -- ``ThreadPoolExecutor``; GIL-bound but useful when processes
   are unavailable (restricted sandboxes) or for I/O-ish workloads.
 * ``serial`` -- execute inline in submission order; the reference behaviour
@@ -18,9 +18,10 @@ gracefully (process -> thread -> serial) if an executor cannot be created.
 Timeout semantics are *graceful*: every router in this repository is anytime
 (it returns its best solution when the budget expires), so the per-job budget
 is enforced primarily by the router itself.  If the primary router still
-fails to produce a solution -- hard timeout, crash, genuinely stuck -- the
-worker runs the fast fallback router so the caller receives a feasible
-best-so-far result rather than nothing.
+fails to produce a solution, the worker runs the fast fallback router; if
+the worker never delivers -- hard timeout, crash, genuinely stuck -- the
+pool runs it.  Either way the caller receives a feasible best-so-far result
+rather than nothing, its notes reading ``fallback=naive after <reason>``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import Callable
 from repro.api.registry import display_name, get_router
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.obs import trace as obs_trace
-from repro.service.cache import payload_to_result, result_to_payload
 from repro.service.jobs import RoutingJob
 
 #: The router used to guarantee a feasible best-so-far answer when the
@@ -71,24 +71,24 @@ def _checked_slack(slack: float, name: str) -> float:
     return float(slack)
 
 
-#: Notes markers stamped on results that were produced by the fallback
-#: router instead of the one the job asked for.  The service uses
+#: Notes marker stamped on results that were produced by the fallback
+#: router instead of the one the job asked for, whether the worker ran it
+#: or the pool rescued a job that never came back.  The service uses
 #: :func:`is_fallback_result` to keep such substitutes out of the cache: a
 #: job's content hash names a specific router, and a rescued answer under
 #: that hash would be served forever in place of the real router's result.
-_FALLBACK_MARKERS = ("fallback=", "rescued after ")
+_FALLBACK_MARKER = "fallback="
 
 
 def is_fallback_result(result: RoutingResult) -> bool:
     """Whether a result came from the fallback router, not the job's own."""
-    return any(marker in result.notes for marker in _FALLBACK_MARKERS)
+    return _FALLBACK_MARKER in result.notes
 
 
-def execute_job(job: RoutingJob, time_budget: float, fallback: bool = True) -> dict:
-    """Run one job to completion inside a worker; returns a picklable outcome.
+def execute_job(job: RoutingJob, time_budget: float,
+                fallback: bool = True) -> RoutingResult:
+    """Run one job to completion inside a worker and return its result.
 
-    The outcome dict has ``solved``, ``status``, ``router_name``, ``notes``,
-    ``solve_time``, and -- when solved -- the serialised result ``payload``.
     When ``fallback`` is true and the primary router produced no solution,
     the fallback router's feasible answer is returned instead (annotated so
     callers can see the substitution).
@@ -97,84 +97,51 @@ def execute_job(job: RoutingJob, time_budget: float, fallback: bool = True) -> d
     service), the worker builds its own span subtree -- ``queue-wait``
     synthesised from the context's ``enqueued_at``, then the router's
     encode/solve/extract/verify spans -- and ships it back serialised as
-    ``outcome["trace"]`` for the parent to graft under the submitter's span.
+    ``result.trace`` for the parent to graft under the submitter's span.
     """
     context = job.trace_context
-    root = None
-    if context is not None:
-        tracer = obs_trace.Tracer(max_traces=1)
-        dispatched = time.time()
-        enqueued = context.get("enqueued_at")
-        # The root is anchored at enqueue time so the synthesised queue-wait
-        # child nests inside it; "route" therefore spans wait + work.
-        start = min(float(enqueued), dispatched) if enqueued is not None else None
-        root = tracer.start_trace("route", start=start,
-                                  job=job.key, router=job.router)
-        if enqueued is not None:
-            tracer.record("queue-wait", root, start=float(enqueued),
-                          duration=max(0.0, dispatched - float(enqueued)))
-        with obs_trace.activate(tracer, root):
-            result = _execute(job, time_budget, fallback)
-        root.finish(status=result.status.value,
-                    router=result.router_name,
-                    **result.solver_stats)
-    else:
+    if context is None:
+        return _execute(job, time_budget, fallback)
+    tracer = obs_trace.Tracer(max_traces=1)
+    dispatched = time.time()
+    enqueued = context.get("enqueued_at")
+    # The root is anchored at enqueue time so the synthesised queue-wait
+    # child nests inside it; "route" therefore spans wait + work.
+    start = min(float(enqueued), dispatched) if enqueued is not None else None
+    root = tracer.start_trace("route", start=start,
+                              job=job.key, router=job.router)
+    if enqueued is not None:
+        tracer.record("queue-wait", root, start=float(enqueued),
+                      duration=max(0.0, dispatched - float(enqueued)))
+    with obs_trace.activate(tracer, root):
         result = _execute(job, time_budget, fallback)
-    outcome = _outcome_from_result(job, result)
-    if root is not None:
-        outcome["trace"] = root.to_dict()
-        outcome["trace_context"] = dict(context)
-    return outcome
+    root.finish(status=result.status.value,
+                router=result.router_name,
+                **result.solver_stats)
+    result.trace = root.to_dict()
+    return result
 
 
 def _execute(job: RoutingJob, time_budget: float, fallback: bool) -> RoutingResult:
-    circuit = job.circuit()
-    architecture = job.architecture()
     router = get_router(job.spec(), time_budget=time_budget)
-    result = router.route(circuit, architecture)
+    result = router.route(job.circuit(), job.architecture())
     if not result.solved and fallback and job.router != FALLBACK_ROUTER:
         with obs_trace.span("fallback", router=FALLBACK_ROUTER):
-            rescue = get_router(FALLBACK_ROUTER,
-                                time_budget=max(time_budget, 1.0)).route(
-                circuit, architecture)
+            rescue = _fallback(job, max(time_budget, 1.0),
+                               f"{job.router} {result.status.value}")
         if rescue.solved:
-            rescue.notes = (f"fallback={FALLBACK_ROUTER} after {job.router} "
-                            f"{result.status.value}"
-                            + (f"; {rescue.notes}" if rescue.notes else ""))
             rescue.solve_time += result.solve_time
             result = rescue
     return result
 
 
-def _outcome_from_result(job: RoutingJob, result: RoutingResult) -> dict:
-    outcome = {
-        "job_key": job.key,
-        "solved": result.solved,
-        "status": result.status.value,
-        "router_name": result.router_name,
-        "notes": result.notes,
-        "solve_time": result.solve_time,
-        "payload": None,
-    }
-    if result.solved and result.routed_circuit is not None:
-        outcome["payload"] = result_to_payload(result)
-    return outcome
-
-
-def outcome_to_result(job: RoutingJob, outcome: dict) -> RoutingResult:
-    """Rebuild a :class:`RoutingResult` from a worker outcome dict."""
-    if outcome.get("payload") is not None:
-        result = payload_to_result(outcome["payload"])
-    else:
-        result = RoutingResult(
-            status=RoutingStatus(outcome.get("status", "error")),
-            router_name=outcome.get("router_name", job.router),
-            circuit_name=job.name,
-            solve_time=float(outcome.get("solve_time", 0.0)),
-            notes=outcome.get("notes", ""),
-        )
-    if outcome.get("trace") is not None:
-        result.trace = outcome["trace"]
+def _fallback(job: RoutingJob, time_budget: float, reason: str) -> RoutingResult:
+    """The fallback router's answer to ``job``; a solution's notes name ``reason``."""
+    result = get_router(FALLBACK_ROUTER, time_budget=time_budget).route(
+        job.circuit(), job.architecture())
+    if result.solved:
+        result.notes = (f"{_FALLBACK_MARKER}{FALLBACK_ROUTER} after {reason}"
+                        + (f"; {result.notes}" if result.notes else ""))
     return result
 
 
@@ -247,7 +214,7 @@ class WorkerPool:
 
     def submit(self, job: RoutingJob, time_budget: float,
                fallback: bool | None = None) -> Future:
-        """Schedule one job; the future resolves to a worker outcome dict."""
+        """Schedule one job; the future resolves to its :class:`RoutingResult`."""
         use_fallback = self.fallback if fallback is None else fallback
         return self._executor.submit(execute_job, job, time_budget, use_fallback)
 
@@ -268,8 +235,7 @@ class WorkerPool:
         for index, (job, future) in enumerate(zip(jobs, futures)):
             remaining = max(deadline - time.monotonic(), 0.1)
             try:
-                outcome = future.result(timeout=remaining)
-                result = outcome_to_result(job, outcome)
+                result = future.result(timeout=remaining)
             except FutureTimeoutError:
                 future.cancel()
                 result = self._rescue(job, "hard timeout in worker pool")
@@ -284,12 +250,8 @@ class WorkerPool:
         """Best-so-far answer for a job whose worker never delivered."""
         if self.fallback:
             try:
-                outcome = execute_job(job.with_router(FALLBACK_ROUTER),
-                                      time_budget=5.0, fallback=False)
-                result = outcome_to_result(job, outcome)
+                result = _fallback(job, 5.0, reason)
                 if result.solved:
-                    result.notes = (f"rescued after {reason}"
-                                    + (f"; {result.notes}" if result.notes else ""))
                     return result
             except Exception:  # pragma: no cover - rescue is best-effort
                 pass

@@ -25,7 +25,7 @@ from repro.api.spec import RouterSpec
 from repro.core.result import RoutingResult, RoutingStatus
 from repro.service.cache import verify_cached_result
 from repro.service.jobs import RoutingJob
-from repro.service.pool import WorkerPool, execute_job, outcome_to_result
+from repro.service.pool import WorkerPool, execute_job
 
 #: Default racing line-up: the anytime MaxSAT router plus two fast heuristics
 #: with very different search styles, so at least one entrant finishes early
@@ -72,36 +72,25 @@ def _judged(job: RoutingJob, candidates: list[RoutingResult],
     winner.notes = ((winner.notes + "; ") if winner.notes else "") + (
         f"portfolio winner={winner.router_name} "
         f"({finishers}/{len(entrants)} entrants finished)")
-    if winner.stage_timings:
-        # Surface the winner's solve-path breakdown and session-reuse
-        # counters so races make the incremental-solver win observable.
-        stages = " ".join(f"{stage}={seconds:.3f}s"
-                          for stage, seconds in sorted(winner.stage_timings.items()))
-        winner.notes += f"; stages: {stages}"
-        if winner.clauses_streamed:
-            winner.notes += (f" streamed={winner.clauses_streamed}"
-                             f" learnt_kept={winner.learnt_clauses_retained}")
     return winner
 
 
-def _collect_race(job: RoutingJob, pending: dict, time_budget: float) -> list[RoutingResult]:
+def _collect_race(job: RoutingJob, pending: set, time_budget: float) -> list[RoutingResult]:
     """Drain one race's futures, cancelling losers once an optimum arrives."""
     candidates: list[RoutingResult] = []
-    decided = False
-    while pending and not decided:
-        done, _ = wait(pending, timeout=time_budget + 60.0,
-                       return_when=FIRST_COMPLETED)
+    while pending:
+        done, pending = wait(pending, timeout=time_budget + 60.0,
+                             return_when=FIRST_COMPLETED)
         if not done:  # hard stall; stop waiting, judge what we have
             break
         for future in done:
-            sub_job = pending.pop(future)
             try:
-                candidates.append(outcome_to_result(sub_job, future.result()))
+                candidates.append(future.result())
             except Exception:
                 continue  # a crashed entrant simply loses the race
-            winner_so_far = pick_winner(job, candidates)
-            if winner_so_far is not None and winner_so_far.optimal:
-                decided = True  # a proven optimum cannot be beaten, only tied
+        winner_so_far = pick_winner(job, candidates)
+        if winner_so_far is not None and winner_so_far.optimal:
+            break  # a proven optimum cannot be beaten, only tied
     for future in pending:  # cancel the losers
         future.cancel()
     return candidates
@@ -117,25 +106,20 @@ def race_portfolio(job: RoutingJob, time_budget: float,
     optimality, cancels everything still pending.  Without a pool the
     entrants run serially with the same early-exit rule.
     """
+    if pool is not None and pool.mode != "serial":
+        return race_portfolio_batch([job], time_budget, entrants, pool)[0]
     if not entrants:
         raise ValueError("a portfolio needs at least one entrant")
     sub_jobs = [entrant_job(job, router) for router in entrants]
-
-    if pool is None or pool.mode == "serial":
-        candidates: list[RoutingResult] = []
-        for sub_job in sub_jobs:
-            try:
-                outcome = execute_job(sub_job, time_budget, fallback=False)
-            except Exception:
-                continue  # as in the pool path: a crashed entrant just loses
-            candidates.append(outcome_to_result(sub_job, outcome))
-            winner_so_far = pick_winner(job, candidates)
-            if winner_so_far is not None and winner_so_far.optimal:
-                break  # remaining entrants cannot beat a proven optimum
-    else:
-        pending = {pool.submit(sub_job, time_budget, fallback=False): sub_job
-                   for sub_job in sub_jobs}
-        candidates = _collect_race(job, pending, time_budget)
+    candidates: list[RoutingResult] = []
+    for sub_job in sub_jobs:
+        try:
+            candidates.append(execute_job(sub_job, time_budget, fallback=False))
+        except Exception:
+            continue  # as in the pool path: a crashed entrant just loses
+        winner_so_far = pick_winner(job, candidates)
+        if winner_so_far is not None and winner_so_far.optimal:
+            break  # remaining entrants cannot beat a proven optimum
     return _judged(job, candidates, entrants)
 
 
@@ -153,12 +137,8 @@ def race_portfolio_batch(jobs: list[RoutingJob], time_budget: float,
     if pool is None or pool.mode == "serial":
         return [race_portfolio(job, time_budget, entrants=entrants, pool=None)
                 for job in jobs]
-    races = []
-    for job in jobs:
-        pending = {}
-        for router in entrants:
-            sub_job = entrant_job(job, router)
-            pending[pool.submit(sub_job, time_budget, fallback=False)] = sub_job
-        races.append((job, pending))
+    races = [(job, {pool.submit(entrant_job(job, router), time_budget,
+                                fallback=False) for router in entrants})
+             for job in jobs]
     return [_judged(job, _collect_race(job, pending, time_budget), entrants)
             for job, pending in races]

@@ -1,69 +1,23 @@
-"""Batch submission queue: cost-based priority with deterministic order.
+"""Batch dispatch order and progress reporting.
 
 When a batch of heterogeneous jobs is fanned out over a fixed number of
 workers, scheduling the expensive jobs first minimises the makespan (the
-classic longest-processing-time rule); the queue therefore orders jobs by
-the cheap size estimate from :meth:`RoutingJob.estimated_cost`, costliest
-first, with submission order as the tie-break so two runs of the same batch
-always dispatch identically.
+classic longest-processing-time rule); :func:`dispatch_order` therefore
+sorts jobs by the cheap size estimate from :meth:`RoutingJob.estimated_cost`,
+costliest first.  The sort is stable, so ties keep submission order and two
+runs of the same batch always dispatch identically.
 
-The queue is a scheduling buffer, not a thread-safe broker: the service
-drains it fully before handing the ordered list to the worker pool, and
+The service hands the ordered list to the worker pool in one go, and
 results are re-assembled in *submission* order so callers see deterministic
 output regardless of worker count or completion order.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.service.jobs import RoutingJob
-
-
-@dataclass(order=True)
-class _Entry:
-    priority: float
-    sequence: int
-    job: RoutingJob = field(compare=False)
-
-
-class JobQueue:
-    """Priority queue over routing jobs (costliest first, stable)."""
-
-    def __init__(self) -> None:
-        self._heap: list[_Entry] = []
-        self._sequence = 0
-
-    def push(self, job: RoutingJob) -> int:
-        """Enqueue a job; returns its submission index within this queue."""
-        sequence = self._sequence
-        # negative cost => largest estimated cost pops first
-        heapq.heappush(self._heap, _Entry(-job.estimated_cost(), sequence, job))
-        self._sequence += 1
-        return sequence
-
-    def extend(self, jobs: Iterable[RoutingJob]) -> list[int]:
-        return [self.push(job) for job in jobs]
-
-    def pop(self) -> tuple[int, RoutingJob]:
-        """Dequeue the highest-priority job as ``(submission_index, job)``."""
-        entry = heapq.heappop(self._heap)
-        return entry.sequence, entry.job
-
-    def drain(self) -> list[tuple[int, RoutingJob]]:
-        """Remove and return all jobs in dispatch (priority) order."""
-        ordered = []
-        while self._heap:
-            ordered.append(self.pop())
-        return ordered
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 @dataclass
@@ -89,7 +43,5 @@ ProgressCallback = Callable[[BatchProgress], None]
 
 
 def dispatch_order(jobs: list[RoutingJob]) -> list[int]:
-    """Indices of ``jobs`` in the order the queue would dispatch them."""
-    queue = JobQueue()
-    queue.extend(jobs)
-    return [index for index, _ in queue.drain()]
+    """Indices of ``jobs`` in dispatch order: costliest first, ties stable."""
+    return sorted(range(len(jobs)), key=lambda index: -jobs[index].estimated_cost())

@@ -38,7 +38,7 @@ from repro.service.cache import ResultCache
 from repro.service.jobs import RoutingJob
 from repro.service.pool import WorkerPool, is_fallback_result
 from repro.service.portfolio import DEFAULT_PORTFOLIO, race_portfolio_batch
-from repro.service.queue import BatchProgress, JobQueue, ProgressCallback
+from repro.service.queue import BatchProgress, ProgressCallback, dispatch_order
 
 
 class BatchRoutingService:
@@ -193,7 +193,6 @@ class BatchRoutingService:
 
         # Phase 1: cache lookups, plus in-batch dedup -- a content hash is
         # computed at most once per batch no matter how often it appears.
-        queue = JobQueue()
         queued_indices: list[int] = []
         first_occurrence: dict[str, int] = {}
         duplicates: list[tuple[int, int]] = []  # (index, index of first occurrence)
@@ -209,15 +208,14 @@ class BatchRoutingService:
                 duplicates.append((index, first_occurrence[key_job.content_hash()]))
             else:
                 first_occurrence[key_job.content_hash()] = index
-                queue.push(job)
                 queued_indices.append(index)
 
         # Phase 2: dispatch misses, costliest first.  Each dispatched job
         # carries a span context (parent ids + enqueue time) so the worker
         # can synthesise its queue-wait span and graft its subtree back.
-        dispatch = queue.drain()
-        ordered_jobs = [job for _, job in dispatch]
-        original_index = [queued_indices[seq] for seq, _ in dispatch]
+        original_index = [queued_indices[slot] for slot in dispatch_order(
+            [jobs[index] for index in queued_indices])]
+        ordered_jobs = [jobs[index] for index in original_index]
         owned_roots: dict[int, obs_trace.Span] = {}
         if self.tracer is not None:
             enqueued_at = time.time()

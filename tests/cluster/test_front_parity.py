@@ -82,6 +82,8 @@ CASES = [
     ("wire budget over the limit", router_submit(
         ROUTER, protocol.MAX_WIRE_TIME_BUDGET * 2), 400),
     ("swaps_per_gate=0", router_submit("satmap:swaps_per_gate=0"), 400),
+    ("swaps_per_gate over the diameter",
+     router_submit("satmap:swaps_per_gate=100000"), 400),
     ("wait=-inf", request_bytes("GET", "/v1/jobs/{job}?wait=-inf"), 200),
     ("wait=nan", request_bytes("GET", "/v1/jobs/{job}?wait=nan"), 200),
 ]

